@@ -45,6 +45,7 @@ from .ramanujan_sum import (
     s_direct,
 )
 from .verifier import (
+    DEFAULT_REL_TOL,
     IdentityReport,
     Verdict,
     compare,
@@ -152,17 +153,28 @@ def _parse_list(text: str, mode: str, flag: str) -> tuple:
     return tuple(_parse_scalar(part, mode, flag) for part in text.split(","))
 
 
+def _or_default(value, default):
+    return default if value is None else value
+
+
 def _context_from(args) -> EvalContext:
     precision = args.precision
     if precision is None:
         env = os.environ.get(ENV_PRECISION)
-        precision = int(env) if env else DEFAULT_CONTEXT.precision
-    return EvalContext(
-        precision=precision,
-        max_terms=args.max_terms or DEFAULT_CONTEXT.max_terms,
-        rel_tol=args.rel_tol or DEFAULT_CONTEXT.rel_tol,
-        abs_tol=args.abs_tol or DEFAULT_CONTEXT.abs_tol,
-    )
+        try:
+            precision = int(env) if env else DEFAULT_CONTEXT.precision
+        except ValueError:
+            raise UsageError(
+                f"{ENV_PRECISION}: not an integer: {env!r}") from None
+    try:
+        return EvalContext(
+            precision=precision,
+            max_terms=_or_default(args.max_terms, DEFAULT_CONTEXT.max_terms),
+            rel_tol=_or_default(args.rel_tol, DEFAULT_CONTEXT.rel_tol),
+            abs_tol=_or_default(args.abs_tol, DEFAULT_CONTEXT.abs_tol),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _decimal_str(s: Scalar, ctx: EvalContext) -> str:
@@ -260,7 +272,7 @@ def _verdict_exit(verdict: Verdict, expect_mismatch: bool = False) -> int:
 def _cmd_verify(args) -> int:
     ctx = _context_from(args)
     t0 = time.perf_counter()
-    rel_tol = args.rel_tol or 1e-9
+    rel_tol = _or_default(args.rel_tol, DEFAULT_REL_TOL)
     expect_mismatch = False
     identity = args.identity
 
@@ -387,7 +399,7 @@ def _cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     points = _load_grid(args.grid, args.mode)
     reports = sweep(points, ctx, jobs=args.jobs,
-                    rel_tol=args.rel_tol or 1e-9)
+                    rel_tol=_or_default(args.rel_tol, DEFAULT_REL_TOL))
 
     def cell(v):
         if v is None:

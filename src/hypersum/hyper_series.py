@@ -59,10 +59,6 @@ class SeriesKind(enum.Enum):
     TERMINATING = "terminating"
     CONVERGENT = "convergent"
     DIVERGENT = "divergent"
-    # Reserved for parameter sets that define no series at all.  The
-    # constructor rejects those outright, so classify never returns it;
-    # p > q+1 without termination is reported as DIVERGENT.
-    UNDEFINED = "undefined"
 
 
 @dataclass(frozen=True)
@@ -404,7 +400,7 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     max(rel_tol * |partial|, abs_tol).  Divergent input is refused.
     """
     cls = classify(params, ctx)
-    if cls.kind in (SeriesKind.DIVERGENT, SeriesKind.UNDEFINED):
+    if cls.kind is SeriesKind.DIVERGENT:
         raise DivergentSeriesError(
             f"refusing to sum a {cls.kind.value} series at unit argument", cls)
     if cls.kind is SeriesKind.TERMINATING:

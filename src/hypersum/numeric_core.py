@@ -605,35 +605,6 @@ DEFAULT_CONTEXT = EvalContext()
 # Gamma
 # ---------------------------------------------------------------------------
 
-# Classic Lanczos approximation, g = 7, 9 coefficients: relative error around
-# 1e-15 over the right half-plane, which is the accuracy floor of the float
-# gamma path regardless of working precision.
-_LANCZOS_G = 7
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_plane(z, prec: int):
-    """Lanczos gamma for an mpc ``z`` not at a pole; reflection for Re < 1/2."""
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return mp.pi / (mpmath.sinpi(z) * _gamma_plane(1 - z, prec))
-    w = z - 1
-    acc = mp.mpf(_LANCZOS_COEFFS[0])
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += mp.mpf(c) / (w + i)
-    t = w + _LANCZOS_G + mp.mpf("0.5")
-    return mp.sqrt(2 * mp.pi) * t ** (w + mp.mpf("0.5")) * mp.e ** (-t) * acc
-
 
 def _exact_half_integer_gamma(x: Fraction) -> Scalar:
     """Gamma at n + 1/2 as q * sqrt(pi), valid for every half-integer."""
@@ -652,8 +623,11 @@ def gamma(x: Scalar) -> SphereValue:
     Exact mode handles integers (factorials) and half-integers (rational
     multiples of sqrt(pi)); any other exact argument raises
     UnsupportedExactError -- use gamma_ratio, whose Pochhammer reduction
-    covers the remaining exact needs.  The float path is Lanczos plus
-    reflection, good to ~1e-13 relative for |x| <= 50 away from poles.
+    covers the remaining exact needs.  The float path is mpmath's gamma at
+    the argument's own precision, so a P-bit result is right to within a
+    few units in its last place at every P.  Arguments within
+    INTEGER_DETECTION_TOL of a nonpositive integer map to inf, flagged
+    tolerance_dependent unless the hit was exact.
     """
     x = scalar(x)
     if x.is_exact:
@@ -673,10 +647,8 @@ def gamma(x: Scalar) -> SphereValue:
     hit = x.nearest_integer()
     if hit is not None and hit[0] <= 0:
         return SphereValue.infinity(tolerance_dependent=not hit[1])
-    with working_precision(x.prec + 20):
-        v = _gamma_plane(x.to_mpc(x.prec + 20), x.prec)
     with working_precision(x.prec):
-        return SphereValue.of(Scalar(val=+v, prec=x.prec))
+        return SphereValue.of(Scalar(val=mp.gamma(x._val), prec=x.prec))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,13 @@ from .numeric_core import (
     DivergentSeriesError,
     ConvergenceError,
     EvalContext,
+    INTEGER_DETECTION_TOL,
     IdentityAssertionError,
     InvalidParametersError,
     PoleError,
     Scalar,
     SphereValue,
     UnsupportedExactError,
-    _gamma_plane,
     _near_int,
     gamma_ratio,
     pochhammer,
@@ -183,15 +183,24 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     experimental.  The terms decay only like 1/j^2 (the gamma-argument
     growth rates cancel to the exponent beta-m + m-alpha-beta-1 + alpha-1),
     so the partial sums are Richardson-extrapolated in 1/N over doubling
-    cutoffs instead of waiting for a geometric tail.
+    cutoffs instead of waiting for a geometric tail.  With all four
+    parameters real the sum runs in mpf.  The gammas cost the same either
+    way (mpmath sends a zero-imaginary mpc to its real routine), but every
+    mpc addition, product and quotient that forms the gamma arguments and
+    combines the term costs two to four real operations, which made the
+    mpc sum about 1.3x slower on real input.
     """
     prec_work = ctx.precision + 30
     with working_precision(prec_work):
-        fa, fb, fm, fz = (x.to_mpc(prec_work)
-                          for x in (ctx.float_scalar(v)
-                                    for v in (p.alpha, p.beta, p.m, p.z)))
-        acc = mp.mpc(0)
-        poch_a = mp.mpc(1)
+        args = [ctx.float_scalar(v).to_mpc(prec_work)
+                for v in (p.alpha, p.beta, p.m, p.z)]
+        number = mp.mpc
+        if all(x.imag == 0 for x in args):
+            args = [x.real for x in args]
+            number = mp.mpf
+        fa, fb, fm, fz = args
+        acc = number(0)
+        poch_a = number(1)
         fact = mp.mpf(1)
         grow_streak = 0
         prev_mag = None
@@ -222,14 +231,14 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 best, err = _richardson(partials)
                 if err <= max(ctx.rel_tol * abs(best), ctx.abs_tol):
                     with working_precision(ctx.precision):
-                        val = +(fm * best)
+                        val = mp.mpc(fm * best)
                     return EvalResult(
                         SphereValue.of(Scalar(val=val, prec=ctx.precision)),
                         j, float(err * max(abs(fm), mp.mpf(1))),
                         SeriesClassification(SeriesKind.CONVERGENT),
                         experimental=True)
             if 2 * target > ctx.max_terms:
-                partial = Scalar(val=fm * acc, prec=prec_work)
+                partial = Scalar(val=mp.mpc(fm * acc), prec=prec_work)
                 raise ConvergenceError(
                     f"direct series not certified within {ctx.max_terms} terms",
                     partial=partial, terms_used=j)
@@ -247,18 +256,17 @@ def _gamma_term_float(fa, fb, fm, fz, j):
             raise PoleError(
                 f"gamma pole contaminates term {j} of the direct series",
                 term_index=j)
-    num = mp.mpc(1)
-    for x in args_num:
-        num = num * _gamma_plane(x, 0)
-    den = mp.mpc(1)
     for x in args_den:
         if _near_nonpositive_int(x):
             return None
-        den = den * _gamma_plane(x, 0)
-    return num / den
+    return (mp.gamma(args_num[0]) * mp.gamma(args_num[1])
+            / (mp.gamma(args_den[0]) * mp.gamma(args_den[1])))
 
 
 def _near_nonpositive_int(x) -> bool:
+    # a nonpositive integer within tol of x needs Re(x) <= tol
+    if x.real > INTEGER_DETECTION_TOL:
+        return False
     hit = _near_int(x.real, x.imag)
     return hit is not None and hit[0] <= 0
 

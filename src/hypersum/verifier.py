@@ -48,8 +48,11 @@ __all__ = [
     "brute_force_oracle",
 ]
 
-# composed multi-gamma expressions accumulate error beyond the ~1e-13 of a
-# single gamma evaluation; reports record the tolerance actually used
+# Float gammas are right to a few units in the last place at every
+# precision, so this slack is for the sums: the series routes stop on an
+# estimated tail of EvalContext.rel_tol (1e-12 by default), and float sums
+# of alternating terms lose digits to cancellation at low precision.
+# Reports record the tolerance actually used.
 DEFAULT_REL_TOL = 1e-9
 
 

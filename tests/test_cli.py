@@ -14,6 +14,17 @@ def run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def assert_one_line_error(capsys, code):
+    """The documented usage failure: exit 1, nothing on stdout and one
+    ``hypersum: error:`` line on stderr, which is returned."""
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hypersum: error:")
+    return lines[0]
+
+
 class TestEval:
     def test_ramanujan_exact(self, capsys):
         code, rec = run(capsys, ["eval", "ramanujan", "--alpha=-2",
@@ -226,3 +237,17 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("flag", ["--precision=10", "--max-terms=-1",
+                                      "--max-terms=0", "--rel-tol=0",
+                                      "--abs-tol=0"])
+    def test_invalid_context_flag_exits_1(self, capsys, flag):
+        # zero is rejected like any other invalid value, never swapped for
+        # the default
+        code = main(["eval", "pfq", "--num=1/3,1/4", "--den=25/12", flag])
+        assert_one_line_error(capsys, code)
+
+    def test_non_integer_env_precision_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERSUM_PRECISION", "abc")
+        code = main(["eval", "pfq", "--num=1/3,1/4", "--den=25/12"])
+        assert "HYPERSUM_PRECISION" in assert_one_line_error(capsys, code)

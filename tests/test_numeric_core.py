@@ -32,8 +32,23 @@ GAMMA_POINTS = [
 ]
 
 
+# Arguments of the precision-honesty test: positive reals, negative
+# non-integers (the reflection side) and one point off the real line.
+HONESTY_POINTS = [
+    Fraction(1, 10), Fraction(1, 2), Fraction(37, 10), Fraction(49, 4),
+    Fraction(333, 10), Fraction(1001, 10),
+    Fraction(-3, 4), Fraction(-23, 10), Fraction(-15, 2), Fraction(-413, 10),
+    complex(-2.5, 1.25),
+]
+
+
 def rel_err(a, b):
     return abs(a - b) / abs(b)
+
+
+def honest_bound(prec):
+    """A P-bit gamma is honest when its relative error is below 2^-(P-4)."""
+    return mpmath.mpf(2) ** -(prec - 4)
 
 
 class TestScalar:
@@ -171,25 +186,43 @@ class TestGammaExact:
 class TestGammaFloat:
     @pytest.mark.parametrize("x, ref", GAMMA_POINTS)
     def test_frozen_points(self, x, ref):
-        g = gamma(Scalar.from_float(mpmath.mpf(x), 113)).finite
+        g = gamma(Scalar.from_float(Fraction(x), 113)).finite
         with mp.workprec(113):
-            assert rel_err(g.to_mpc(113), mpmath.mpf(ref)) < 1e-13
+            assert rel_err(g.to_mpc(113), mpmath.mpf(ref)) < honest_bound(113)
 
     def test_complex_point(self):
         z = mpmath.mpc("1.5", "0.5")
         g = gamma(Scalar.from_float(z, 113)).finite.to_mpc(113)
-        ref = mpmath.mpc(
-            "0.7907389141278650053740228306581127675107",
-            "0.02742508541388238870372604289721214159836",
-        )
-        assert rel_err(g, ref) < 1e-13
+        with mp.workprec(113):
+            ref = mpmath.mpc(
+                "0.7907389141278650053740228306581127675107",
+                "0.02742508541388238870372604289721214159836",
+            )
+            assert rel_err(g, ref) < honest_bound(113)
 
     def test_matches_reference_library_broadly(self):
         with mp.workprec(113):
             for i in range(-45, 50):
                 x = mp.mpf(i) / 2 + mp.mpf("0.31")
                 g = gamma(Scalar.from_float(x, 113)).finite.to_mpc(113)
-                assert rel_err(g, mpmath.gamma(x)) < 1e-13
+                assert rel_err(g, mpmath.gamma(x)) < honest_bound(113)
+
+    @pytest.mark.parametrize("prec", [53, 256, 1024])
+    def test_precision_honesty(self, prec):
+        # the reference is mpmath's gamma of the same binary argument in a
+        # private context at 2P+20 bits, so the global precision is untouched
+        ref_ctx = mpmath.MPContext()
+        ref_ctx.prec = 2 * prec + 20
+        bad = []
+        for x in HONESTY_POINTS:
+            arg = Scalar.from_float(x, prec)
+            v = arg.to_mpc(prec)
+            ref = ref_ctx.gamma(ref_ctx.mpc(v))
+            g = ref_ctx.mpc(gamma(arg).finite.to_mpc(prec))
+            err = abs(g - ref) / abs(ref)
+            if err >= honest_bound(prec):
+                bad.append((x, ref_ctx.nstr(err, 3)))
+        assert not bad, f"gamma at {prec} bits is not honest at {bad}"
 
     def test_pole_snap_is_flagged(self):
         g = gamma(Scalar.from_float(-3.0 + 1e-14, 113))
@@ -206,7 +239,9 @@ class TestGammaFloat:
         gr = gamma(Scalar.from_float(1 - x, 113)).finite.to_mpc(113)
         with mp.workprec(113):
             lhs = gx * gr * mpmath.sinpi(mp.mpf(x)) / mp.pi
-            assert abs(lhs - 1) < 1e-12
+            # two gammas, a sine and three roundings: two bits over the
+            # single-gamma bound
+            assert abs(lhs - 1) < honest_bound(113 - 2)
 
 
 class TestPochhammer:

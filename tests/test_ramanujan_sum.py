@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -358,6 +359,33 @@ class TestExperimental:
         assert res.classification.kind is SeriesKind.CONVERGENT
         assert abs(res.value.finite.to_mpc(64) - 0.858235423344575) < 1e-7
         assert res.tail_bound > 0
+
+    @pytest.mark.parametrize("params", [
+        (0.5, 1.0, 0.5, 0.5),
+        (F(-1, 3), F(2, 5), F(1, 4), F(3, 2)),
+        (F(7, 4), F(1, 3), F(5, 6), F(11, 4)),
+    ])
+    def test_matches_nsum_reference(self, params):
+        # the route at 53 bits and the default rel_tol against mpmath's nsum
+        # of the defining gamma-ratio series at doubled precision
+        ctx = EvalContext(precision=53)
+        res = s_direct(RamanujanParams(*params), ctx)
+        assert res.experimental
+        ref_ctx = mpmath.MPContext()
+        ref_ctx.prec = 2 * ctx.precision
+        alpha, beta, m, z = (ref_ctx.mpf(F(x).numerator) / F(x).denominator
+                             for x in params)
+
+        def term(j):
+            return (ref_ctx.gamma(beta + 1 + j * z)
+                    * ref_ctx.gamma(m + j * (z + 1))
+                    / (ref_ctx.gamma(alpha + beta + 1 + j * (z + 1))
+                       * ref_ctx.gamma(m + j * z + 1))
+                    * ref_ctx.rf(alpha, j) / ref_ctx.factorial(j))
+
+        ref = m * ref_ctx.nsum(term, [0, ref_ctx.inf], method="richardson")
+        value = ref_ctx.mpc(res.value.finite.to_mpc(ctx.precision))
+        assert abs(value - ref) <= ctx.rel_tol * abs(ref)
 
     def test_numerator_pole_contaminates(self):
         # beta+1+jz = -2.5+0.5j first lands on a nonpositive integer (-2)
