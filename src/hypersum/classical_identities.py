@@ -14,7 +14,7 @@ from .numeric_core import (
     PoleError,
     Scalar,
     SphereValue,
-    UnsupportedExactError,
+    exact_first,
     gamma_ratio,
     pochhammer,
     scalar,
@@ -46,19 +46,18 @@ def gauss_closed_form(a, b, c, ctx: Optional[EvalContext] = None) -> SphereValue
 
     The four gammas are paired into two ratios so that an integer a (or b)
     turns each ratio into a finite Pochhammer symbol even when the
-    individual gammas sit on poles.  Exact inputs that summation at gamma's
-    exact domain cannot handle fall back to float at ctx.precision.
+    individual gammas sit on poles.  Evaluated through exact_first: exact
+    where gamma's exact domain allows (real float inputs as the exact
+    rationals they are), otherwise in float with guard bits; a float input
+    or route gives a float rounded once to ctx.precision.
     """
-    ctx = ctx or DEFAULT_CONTEXT
-    a, b, c = scalar(a), scalar(b), scalar(c)
-    # pair so integer-difference reduction fires when possible
-    if not a.is_integer() and b.is_integer():
-        a, b = b, a
-    try:
+    def gauss(a, b, c):
+        # pair so integer-difference reduction fires when possible
+        if not a.is_integer() and b.is_integer():
+            a, b = b, a
         return gamma_ratio(c, c - a) * gamma_ratio(c - a - b, c - b)
-    except UnsupportedExactError:
-        fa, fb, fc = (ctx.float_scalar(x) for x in (a, b, c))
-        return gamma_ratio(fc, fc - fa) * gamma_ratio(fc - fa - fb, fc - fb)
+
+    return exact_first(gauss, (a, b, c), ctx or DEFAULT_CONTEXT)
 
 
 def pochhammer_multiplication_split(base, n: int, j: int) -> Scalar:

@@ -2,17 +2,20 @@
 
 Exit codes: 0 success (or an expected verdict), 1 usage error, 2 divergence
 or refusal to sum, 3 pole, 4 a verification produced an unexpected verdict.
+A reader that closes stdout before the record is written (``| head``) also
+gets exit 1, with nothing on stderr.
 
 Parameters are written as rational strings ("-3/2", "0.25") or decimals; in
 exact mode decimals are parsed as exact rationals (scaled powers of ten) so
 that verification is never poisoned by binary-decimal conversion, in float
-mode they become floats (complex accepted, e.g. "1+1j").  Grid files for
-`sweep` are JSON; see GRID_SCHEMA.
+mode they become floats (complex accepted, e.g. "1+1j"; inf and nan are
+rejected).  Grid files for `sweep` are JSON; see GRID_SCHEMA.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -135,15 +138,15 @@ def _parse_scalar(text: str, mode: str, flag: str):
         except (ValueError, ZeroDivisionError):
             raise UsageError(
                 f"argument {flag}: not an exact rational: {text!r}") from None
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return complex(text)
-    except ValueError:
-        raise UsageError(
-            f"argument {flag}: not a float or complex value: {text!r}") from None
+    for parse in (float, complex):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        if not cmath.isfinite(value):
+            raise UsageError(f"argument {flag}: not a finite value: {text!r}")
+        return value
+    raise UsageError(f"argument {flag}: not a float or complex value: {text!r}")
 
 
 def _parse_list(text: str, mode: str, flag: str) -> tuple:
@@ -213,52 +216,38 @@ def _report_record(rep: IdentityReport, ctx: EvalContext) -> dict:
     }
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, indent=2, default=str))
-
-
-def _eval_record(args, params: dict, res: EvalResult, ctx: EvalContext,
-                 t0: float) -> dict:
+def _eval_record(res: EvalResult, ctx: EvalContext) -> dict:
     result = _value_record(res.value, ctx)
     result["terms_used"] = res.terms_used
     result["tail_bound"] = res.tail_bound
     result["classification"] = res.classification.kind.value
     result["experimental"] = res.experimental
-    return {
-        "command": args.command_echo,
-        "params": params,
-        "result": result,
-        "timing_s": round(time.perf_counter() - t0, 6),
-    }
+    return {"result": result}
 
 
-def _cmd_eval_pfq(args) -> int:
+# Each command fills ``params`` once its flags are parsed, so that the
+# exit-2 and exit-3 records carry them too, and returns (exit code, record).
+
+def _cmd_eval_pfq(args, params: dict):
     ctx = _context_from(args)
-    t0 = time.perf_counter()
+    params.update(num=args.num or "", den=args.den or "", mode=args.mode,
+                  precision=ctx.precision)
     nums = _parse_list(args.num or "", args.mode, "--num")
     dens = _parse_list(args.den or "", args.mode, "--den")
-    res = eval_at_1(HypParams(nums, dens), ctx)
-    _emit(_eval_record(args, {"num": args.num or "", "den": args.den or "",
-                              "mode": args.mode, "precision": ctx.precision},
-                       res, ctx, t0))
-    return 0
+    return 0, _eval_record(eval_at_1(HypParams(nums, dens), ctx), ctx)
 
 
-def _cmd_eval_ramanujan(args) -> int:
+def _cmd_eval_ramanujan(args, params: dict):
     ctx = _context_from(args)
-    t0 = time.perf_counter()
     vals = {}
     for flag in ("alpha", "beta", "m", "z"):
         raw = getattr(args, flag)
         if raw is None:
             raise UsageError(f"eval ramanujan requires --{flag}")
         vals[flag] = _parse_scalar(raw, args.mode, f"--{flag}")
-    res = s_direct(RamanujanParams(**vals), ctx)
-    params = {k: str(getattr(args, k)) for k in ("alpha", "beta", "m", "z")}
-    params["mode"] = args.mode
-    params["precision"] = ctx.precision
-    _emit(_eval_record(args, params, res, ctx, t0))
-    return 0
+        params[flag] = raw
+    params.update(mode=args.mode, precision=ctx.precision)
+    return 0, _eval_record(s_direct(RamanujanParams(**vals), ctx), ctx)
 
 
 def _verdict_exit(verdict: Verdict, expect_mismatch: bool = False) -> int:
@@ -269,9 +258,8 @@ def _verdict_exit(verdict: Verdict, expect_mismatch: bool = False) -> int:
     return 0 if verdict in ok else 4
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, params: dict):
     ctx = _context_from(args)
-    t0 = time.perf_counter()
     rel_tol = _or_default(args.rel_tol, DEFAULT_REL_TOL)
     expect_mismatch = False
     identity = args.identity
@@ -280,32 +268,32 @@ def _cmd_verify(args) -> int:
         for flag in ("k", "beta", "m", "z"):
             if getattr(args, flag) is None:
                 raise UsageError(f"verify theorem requires --{flag}")
+        params.update(k=args.k, beta=args.beta, m=args.m, z=args.z, mode=args.mode)
         rep = verify_theorem(
             args.k,
             _parse_scalar(args.beta, args.mode, "--beta"),
             _parse_scalar(args.m, args.mode, "--m"),
             _parse_scalar(args.z, args.mode, "--z"),
             ctx, rel_tol)
-        params = {"k": args.k, "beta": args.beta, "m": args.m, "z": args.z}
     elif identity == "inner-sum":
         for flag in ("m", "n", "r"):
             if getattr(args, flag) is None:
                 raise UsageError(f"verify inner-sum requires --{flag}")
+        params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
         value = inner_sum_E(_parse_scalar(args.m, args.mode, "--m"),
                             args.n, args.r)
         expected = Scalar.exact(1 if args.r == 0 else 0)
         rep = compare(SphereValue.of(value), SphereValue.of(expected),
                       ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
-        params = {"m": args.m, "n": args.n, "r": args.r}
     elif identity == "finite-diff":
         for flag in ("m", "n", "r"):
             if getattr(args, flag) is None:
                 raise UsageError(f"verify finite-diff requires --{flag}")
+        params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
         value = finite_difference_check(
             _parse_scalar(args.m, args.mode, "--m"), args.n, args.r)
         rep = compare(SphereValue.of(value), SphereValue.of(Scalar.exact(0)),
                       ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
-        params = {"m": args.m, "n": args.n, "r": args.r}
     elif identity == "askey-ismail":
         # a, c ride on --num and d on --den (the flag set has no dedicated
         # names for them)
@@ -318,33 +306,26 @@ def _cmd_verify(args) -> int:
             raise UsageError(
                 "verify askey-ismail expects exactly --num=a,c and --den=d")
         a, c = ac
+        params.update(num=args.num, den=args.den, k=args.k, mode=args.mode)
         lhs = askey_ismail_lhs(a, c, d[0], args.k, ctx).value
         rhs = askey_ismail_rhs(a, c, d[0], args.k, ctx).value
         rep = compare(lhs, rhs, ctx, rel_tol,
                       {"a": str(a), "c": str(c), "d": str(d[0]), "k": args.k})
-        params = {"num": args.num, "den": args.den, "k": args.k}
     elif identity == "counterexample":
         for flag in ("alpha", "beta"):
             if getattr(args, flag) is None:
                 raise UsageError(f"verify counterexample requires --{flag}")
+        params.update(alpha=args.alpha, beta=args.beta, mode=args.mode)
         rep = counterexample_eq9(
             _parse_scalar(args.alpha, args.mode, "--alpha"),
             _parse_scalar(args.beta, args.mode, "--beta"),
             ctx, rel_tol)
-        params = {"alpha": args.alpha, "beta": args.beta}
         expect_mismatch = True
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown identity {identity!r}")
 
-    params["mode"] = args.mode
-    _emit({
-        "command": args.command_echo,
-        "params": params,
-        "verdict": rep.verdict.value,
-        "report": _report_record(rep, ctx),
-        "timing_s": round(time.perf_counter() - t0, 6),
-    })
-    return _verdict_exit(rep.verdict, expect_mismatch)
+    return (_verdict_exit(rep.verdict, expect_mismatch),
+            {"verdict": rep.verdict.value, "report": _report_record(rep, ctx)})
 
 
 def _load_grid(path: str, mode: str) -> List[dict]:
@@ -357,13 +338,13 @@ def _load_grid(path: str, mode: str) -> List[dict]:
         raise UsageError("grid file must be a JSON object; see GRID_SCHEMA")
 
     def convert(v, flag):
-        if isinstance(v, str):
-            return _parse_scalar(v, mode, flag)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
             raise UsageError(f"grid value for {flag} must be a number or string")
         if isinstance(v, int):
             return v
-        return v if mode == "float" else Fraction(str(v))
+        # JSON floats go through their shortest repr: exact mode reads 0.1 as
+        # 1/10, float mode gets the same float back; Infinity/NaN are refused
+        return _parse_scalar(str(v), mode, flag)
 
     points = []
     for pt in doc.get("points", []):
@@ -394,10 +375,11 @@ def _point_expectation(pt: dict, verdict: Verdict) -> bool:
     return verdict is Verdict.MISMATCH
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, params: dict):
     ctx = _context_from(args)
-    t0 = time.perf_counter()
     points = _load_grid(args.grid, args.mode)
+    params.update(grid=args.grid, points=len(points), jobs=args.jobs or 1,
+                  mode=args.mode)
     reports = sweep(points, ctx, jobs=args.jobs,
                     rel_tol=_or_default(args.rel_tol, DEFAULT_REL_TOL))
 
@@ -421,15 +403,9 @@ def _cmd_sweep(args) -> int:
 
     unexpected = sum(not _point_expectation(pt, rep.verdict)
                      for pt, rep in zip(points, reports))
-    _emit({
-        "command": args.command_echo,
-        "params": {"grid": args.grid, "points": len(points),
-                   "jobs": args.jobs or 1, "mode": args.mode},
-        "summary": {**summarize(reports), "unexpected": unexpected},
-        "csv": args.out,
-        "timing_s": round(time.perf_counter() - t0, 6),
-    })
-    return 0 if unexpected == 0 else 4
+    return (0 if unexpected == 0 else 4,
+            {"summary": {**summarize(reports), "unexpected": unexpected},
+             "csv": args.out})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -495,8 +471,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"hypersum: error: {exc}", file=sys.stderr)
         return 1
+    params = {}
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, record = args.func(args, params)
     except UsageError as exc:
         print(f"hypersum: error: {exc}", file=sys.stderr)
         return 1
@@ -504,16 +482,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"hypersum: invalid parameters: {exc}", file=sys.stderr)
         return 1
     except (DivergentSeriesError, ConvergenceError) as exc:
-        _emit({"command": getattr(args, "command_echo", "?"),
-               "params": {}, "error": str(exc), "timing_s": 0.0})
-        return 2
+        code, record = 2, {"error": str(exc)}
     except (PoleError, IndeterminateError) as exc:
-        _emit({"command": getattr(args, "command_echo", "?"),
-               "params": {}, "error": str(exc), "timing_s": 0.0})
-        return 3
+        code, record = 3, {"error": str(exc)}
     except UnsupportedExactError as exc:
         print(f"hypersum: error: {exc} (try --mode=float)", file=sys.stderr)
         return 1
+    record = {"command": args.command_echo, "params": params, **record,
+              "timing_s": round(time.perf_counter() - t0, 6)}
+    try:
+        print(json.dumps(record, indent=2, default=str), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not fail again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -33,11 +33,12 @@ from .numeric_core import (
     ConvergenceError,
     DivergentSeriesError,
     EvalContext,
+    GUARD_BITS,
     InvalidParametersError,
     PoleError,
     Scalar,
     SphereValue,
-    UnsupportedExactError,
+    exact_first,
     pochhammer,
     scalar,
     working_precision,
@@ -73,8 +74,9 @@ class SeriesClassification:
 class EvalResult:
     value: SphereValue
     terms_used: int
-    # int 0 marks an exact terminating sum; floats carry the estimated
-    # truncation error of an inexact evaluation.
+    # Truncation error only.  The int 0 marks an exact value; a terminating
+    # sum rounded to float reads 0.0 (real input was summed exactly, so its
+    # one error is the final rounding); other floats are the estimated tail.
     tail_bound: Union[int, float]
     classification: SeriesClassification
     experimental: bool = False
@@ -122,9 +124,6 @@ class HypParams:
     @property
     def q(self) -> int:
         return len(self.denominator)
-
-    def all_exact(self) -> bool:
-        return all(x.is_exact for x in (*self.numerator, *self.denominator))
 
     def __repr__(self):
         ns = ", ".join(str(x) for x in self.numerator)
@@ -210,43 +209,34 @@ def _ratio_factors(a_vals, b_vals, j):
     return num / den
 
 
-def _sum_terminating_exact(params: HypParams, cls: SeriesClassification) -> EvalResult:
+def _sum_terminating(k: int, p: int, *params: Scalar) -> Scalar:
+    """The k+1 terms of a terminating series with numerator parameters
+    params[:p] and denominator parameters params[p:], in either mode."""
     t = Scalar.exact(1)
     acc = t
-    for j in range(cls.k):
+    for j in range(k):
         num = Scalar.exact(1)
-        for a in params.numerator:
+        for a in params[:p]:
             num = num * (a + j)
         den = Scalar.exact(j + 1)
-        for b in params.denominator:
+        for b in params[p:]:
             den = den * (b + j)
         t = t * num / den
         acc = acc + t
-    return EvalResult(SphereValue.of(acc), cls.k + 1, 0, cls)
+    return acc
 
 
-def _sum_terminating_float(params: HypParams, cls: SeriesClassification,
-                           ctx: EvalContext) -> EvalResult:
-    prec_work = ctx.precision + 20
-    with working_precision(prec_work):
-        a_vals = [x.to_mpc(prec_work) for x in params.numerator]
-        b_vals = [x.to_mpc(prec_work) for x in params.denominator]
-        t = mp.mpc(1)
-        acc = mp.mpc(1)
-        for j in range(cls.k):
-            t = t * _ratio_factors(a_vals, b_vals, j)
-            acc = acc + t
-    with working_precision(ctx.precision):
-        val = +acc
-    return EvalResult(SphereValue.of(Scalar(val=val, prec=ctx.precision)),
-                      cls.k + 1, 0.0, cls)
+def _finite_sum_result(value: SphereValue, cls: SeriesClassification) -> EvalResult:
+    """The result of a terminating sum of cls.k + 1 terms: tail_bound is the
+    int 0 for an exact value and 0.0 for one rounded to float."""
+    return EvalResult(value, cls.k + 1, 0 if value.finite.is_exact else 0.0, cls)
 
 
 def _sum_geometric(params: HypParams, cls: SeriesClassification,
                    ctx: EvalContext) -> EvalResult:
     """p <= q: ratios decay like j^(p-q-1); bound the tail geometrically once
     the absolute ratio is below 1 and has decreased three times running."""
-    prec_work = ctx.precision + 20
+    prec_work = ctx.precision + GUARD_BITS
     with working_precision(prec_work):
         a_vals = [x.to_mpc(prec_work) for x in params.numerator]
         b_vals = [x.to_mpc(prec_work) for x in params.denominator]
@@ -393,9 +383,10 @@ def _sum_balanced(params: HypParams, cls: SeriesClassification,
 def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """Sum the series at unit argument.
 
-    Terminating series are summed exactly when every parameter is exact
-    (falling back to float precision if the exact arithmetic cannot
-    represent intermediate values); convergent ones are summed in float
+    Terminating series are summed exactly whenever every parameter is real
+    (through exact_first: real floats enter as the exact rationals they are
+    and the sum is rounded once to ctx.precision); complex parameters are
+    summed in float with guard bits.  Convergent series are summed in float
     mode at ctx.precision until the estimated tail drops below
     max(rel_tol * |partial|, abs_tol).  Divergent input is refused.
     """
@@ -404,12 +395,10 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
         raise DivergentSeriesError(
             f"refusing to sum a {cls.kind.value} series at unit argument", cls)
     if cls.kind is SeriesKind.TERMINATING:
-        if params.all_exact():
-            try:
-                return _sum_terminating_exact(params, cls)
-            except UnsupportedExactError:
-                pass
-        return _sum_terminating_float(params, cls, ctx)
+        value = exact_first(
+            lambda *xs: SphereValue.of(_sum_terminating(cls.k, params.p, *xs)),
+            params.numerator + params.denominator, ctx)
+        return _finite_sum_result(value, cls)
     if params.p <= params.q:
         return _sum_geometric(params, cls, ctx)
     return _sum_balanced(params, cls, ctx)

@@ -8,6 +8,10 @@ scalars are mpmath complex values carrying their own binary precision;
 mixing two different float precisions in one operation is an error rather
 than a silent downgrade.
 
+``exact_first`` is the one place that chooses between the modes: a real
+finite float is a dyadic rational, so it is computed on exactly and only
+the result is rounded.
+
 Gamma ratios are first-class (``gamma_ratio``) because most expressions in
 this library are ratios whose individual gammas may sit on poles while the
 ratio itself is finite: whenever the argument difference is an integer the
@@ -22,10 +26,11 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 __all__ = [
     "Mode",
@@ -39,6 +44,7 @@ __all__ = [
     "pochhammer_sphere",
     "gamma_ratio",
     "working_precision",
+    "exact_first",
     "INTEGER_DETECTION_TOL",
     "HypersumError",
     "UnsupportedExactError",
@@ -57,6 +63,9 @@ __all__ = [
 INTEGER_DETECTION_TOL = 1e-12
 
 MIN_PRECISION = 53
+
+# extra bits carried by float sums that round to the working precision
+GUARD_BITS = 20
 
 
 class HypersumError(Exception):
@@ -253,13 +262,13 @@ class Scalar:
     def to_mpc(self, prec: Optional[int] = None):
         """The value as an mpmath mpc, computed at ``prec`` bits."""
         p = prec if prec is not None else (self.prec or MIN_PRECISION)
+        if self.is_float:
+            with working_precision(p):
+                return +self._val
         with working_precision(p + 10):
-            if self.is_float:
-                v = mp.mpc(self._val)
-            else:
-                v = mp.mpc(mp.mpf(self._coef.numerator) / mp.mpf(self._coef.denominator))
-                if self._sqrtpi:
-                    v = v * mp.sqrt(mp.pi) ** self._sqrtpi
+            v = mp.mpc(mp.mpf(self._coef.numerator) / mp.mpf(self._coef.denominator))
+            if self._sqrtpi:
+                v = v * mp.sqrt(mp.pi) ** self._sqrtpi
         with working_precision(p):
             return +v
 
@@ -599,6 +608,53 @@ class EvalContext:
 
 
 DEFAULT_CONTEXT = EvalContext()
+
+
+def _dyadic(x: Scalar) -> Optional[Scalar]:
+    """The exact value of ``x``: itself when exact, the dyadic rational of a
+    real finite float, None for a complex or non-finite float."""
+    if x.is_exact:
+        return x
+    v = x._val
+    if v.imag != 0 or not mp.isfinite(v.real):
+        return None
+    return Scalar.exact(Fraction(*to_rational(v.real._mpf_)))
+
+
+def _rounded(value: SphereValue, prec: int) -> SphereValue:
+    """``value`` with its finite part rounded once to a ``prec``-bit float."""
+    if value.is_infinity:
+        return value
+    return SphereValue(finite=value.finite.to_float_scalar(prec), is_infinity=False,
+                       tolerance_dependent=value.tolerance_dependent)
+
+
+def exact_first(fn: Callable[..., SphereValue], args: Sequence,
+                ctx: EvalContext) -> SphereValue:
+    """``fn(*args)``, exactly where exact arithmetic can represent it.
+
+    The library's one choice between exact and float arithmetic.  Exact
+    arguments stay as they are and every real, finite float argument becomes
+    the exact rational it already is, so ``fn`` runs exactly.  If it raises
+    UnsupportedExactError, or an argument is complex or non-finite, ``fn``
+    runs instead on float scalars at ctx.precision + GUARD_BITS.  When an
+    argument or the route was float, the result is rounded once to
+    ctx.precision, keeping its tolerance_dependent flag; otherwise it is
+    returned exact.
+    """
+    args = [scalar(x) for x in args]
+    exact = [_dyadic(x) for x in args]
+    if all(x is not None for x in exact):
+        try:
+            value = fn(*exact)
+        except UnsupportedExactError:
+            pass
+        else:
+            if all(x.is_exact for x in args):
+                return value
+            return _rounded(value, ctx.precision)
+    guard = ctx.precision + GUARD_BITS
+    return _rounded(fn(*(x.to_float_scalar(guard) for x in args)), ctx.precision)
 
 
 # ---------------------------------------------------------------------------

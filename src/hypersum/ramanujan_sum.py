@@ -38,6 +38,7 @@ from .numeric_core import (
     SphereValue,
     UnsupportedExactError,
     _near_int,
+    exact_first,
     gamma_ratio,
     pochhammer,
     scalar,
@@ -48,6 +49,7 @@ from .hyper_series import (
     HypParams,
     SeriesClassification,
     SeriesKind,
+    _finite_sum_result,
     eval_at_1,
 )
 
@@ -133,18 +135,13 @@ def s_closed_form(p: RamanujanParams, ctx: Optional[EvalContext] = None) -> Sphe
     """Gamma(beta+1-m) / Gamma(alpha+beta+1-m), via gamma_ratio so that the
     terminating case reduces to the exact Pochhammer value (beta+1-m-k)_k.
 
-    Falls back to float gammas at ctx precision when the arguments admit no
-    exact gamma evaluation (nonterminating alpha with generic rationals).
+    Through exact_first: real inputs give the exact value (rounded once to
+    ctx.precision when an input was a float); arguments that admit no exact
+    gamma evaluation (nonterminating alpha with generic rationals) and
+    complex inputs use float gammas with guard bits.
     """
-    x = p.beta + 1 - p.m
-    y = p.alpha + x
-    if x.is_exact and y.is_exact:
-        try:
-            return gamma_ratio(x, y)
-        except UnsupportedExactError:
-            pass
-    ctx = ctx or DEFAULT_CONTEXT
-    return gamma_ratio(ctx.float_scalar(x), ctx.float_scalar(y))
+    return exact_first(lambda a, b, m: gamma_ratio(b + 1 - m, a + b + 1 - m),
+                       (p.alpha, p.beta, p.m), ctx or DEFAULT_CONTEXT)
 
 
 def _direct_term(alpha_k: int, beta: Scalar, m: Scalar, z: Scalar, j: int) -> Scalar:
@@ -159,21 +156,17 @@ def _direct_term(alpha_k: int, beta: Scalar, m: Scalar, z: Scalar, j: int) -> Sc
 
 def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     k = p.terminating_k
-    if p.all_exact():
-        try:
-            # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
-            # leaving (beta+1-k)_k; this keeps m = 0 well-defined.
-            acc = pochhammer(p.beta + 1 - k, k)
-            for j in range(1, k + 1):
-                acc = acc + _direct_term(k, p.beta, p.m, p.z, j)
-            return EvalResult(SphereValue.of(acc), k + 1, 0, _terminating_cls(k))
-        except UnsupportedExactError:
-            pass
-    fb, fm, fz = (ctx.float_scalar(x) for x in (p.beta, p.m, p.z))
-    acc = pochhammer(fb + 1 - k, k)
-    for j in range(1, k + 1):
-        acc = acc + _direct_term(k, fb, fm, fz, j)
-    return EvalResult(SphereValue.of(acc), k + 1, 0.0, _terminating_cls(k))
+
+    def direct_sum(beta, m, z):
+        # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
+        # leaving (beta+1-k)_k; this keeps m = 0 well-defined.
+        acc = pochhammer(beta + 1 - k, k)
+        for j in range(1, k + 1):
+            acc = acc + _direct_term(k, beta, m, z, j)
+        return SphereValue.of(acc)
+
+    value = exact_first(direct_sum, (p.beta, p.m, p.z), ctx)
+    return _finite_sum_result(value, _terminating_cls(k))
 
 
 def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
@@ -287,8 +280,10 @@ def _richardson(partials):
 def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """S summed from its defining series.
 
-    Terminating alpha = -k: exact finite sum (k+1 terms) via the reduced
-    Pochhammer form, in exact arithmetic whenever the inputs are exact.
+    Terminating alpha = -k: finite sum (k+1 terms) via the reduced
+    Pochhammer form, in exact arithmetic whenever beta, m and z are real;
+    float inputs enter as the exact rationals they are and the sum is
+    rounded once to ctx.precision (see exact_first).
     Nonterminating with z a nonnegative integer: handled by the
     hypergeometric rewrite (s_integer_form).  Anything else is evaluated
     experimentally with per-term float gammas.
@@ -301,19 +296,13 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     return _s_direct_experimental(p, ctx)
 
 
-def _prefactor(p: RamanujanParams, ctx: EvalContext) -> SphereValue:
-    """Gamma(beta+1)/Gamma(alpha+beta+1), exact for integer alpha."""
-    x = p.beta + 1
-    y = p.alpha + x
-    if x.is_exact and y.is_exact:
-        try:
-            return gamma_ratio(x, y)
-        except UnsupportedExactError:
-            pass
-    return gamma_ratio(ctx.float_scalar(x), ctx.float_scalar(y))
+def _prefactor(alpha, beta) -> SphereValue:
+    """Gamma(beta+1)/Gamma(alpha+beta+1), a Pochhammer symbol for integer
+    alpha.  Callers wrap it in exact_first."""
+    return gamma_ratio(beta + 1, alpha + beta + 1)
 
 
-def _stride_term(p: RamanujanParams, n: int, j: int, beta, m, alpha) -> Scalar:
+def _stride_term(n: int, j: int, beta, m, alpha) -> Scalar:
     num = pochhammer(beta + 1, n * j) * pochhammer(m, (n + 1) * j) * pochhammer(alpha, j)
     den = (pochhammer(alpha + beta + 1, (n + 1) * j) * pochhammer(m + 1, n * j)
            * math.factorial(j))
@@ -328,10 +317,11 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
     """S at z = n, a nonnegative integer, through the stride-Pochhammer
     hypergeometric rewrite with prefactor Gamma(beta+1)/Gamma(alpha+beta+1).
 
-    Terminating series are summed exactly in the stride form itself;
-    nonterminating ones go through the parameter-split (recast_params for
-    n >= 1, a plain 2F1 for n = 0) and the engine's tail machinery, which
-    refuses divergent input.
+    Terminating series are summed in the stride form itself, exactly for
+    real inputs and rounded once to ctx.precision when an input was a float
+    (see exact_first); nonterminating ones go through the parameter-split
+    (recast_params for n >= 1, a plain 2F1 for n = 0) and the engine's tail
+    machinery, which refuses divergent input.
     """
     hit = p.z.nearest_integer()
     if hit is None or hit[0] < 0:
@@ -339,25 +329,18 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
             f"s_integer_form needs z a nonnegative integer, got z = {p.z}")
     n = hit[0]
     k = p.terminating_k
-    pref = _prefactor(p, ctx)
     if k is not None:
-        if p.all_exact():
-            try:
-                acc = Scalar.exact(0)
-                for j in range(k + 1):
-                    acc = acc + _stride_term(p, n, j, p.beta, p.m, p.alpha)
-                return EvalResult(pref * SphereValue.of(acc), k + 1, 0,
-                                  _terminating_cls(k))
-            except UnsupportedExactError:
-                pass
-        fb, fm, fa = (ctx.float_scalar(x) for x in (p.beta, p.m, p.alpha))
-        acc = Scalar.from_float(0, ctx.precision)
-        for j in range(k + 1):
-            acc = acc + _stride_term(p, n, j, fb, fm, fa)
-        return EvalResult(pref * SphereValue.of(acc), k + 1, 0.0,
-                          _terminating_cls(k))
+        def stride_sum(alpha, beta, m):
+            acc = Scalar.exact(0)
+            for j in range(k + 1):
+                acc = acc + _stride_term(n, j, beta, m, alpha)
+            return _prefactor(alpha, beta) * SphereValue.of(acc)
+
+        value = exact_first(stride_sum, (p.alpha, p.beta, p.m), ctx)
+        return _finite_sum_result(value, _terminating_cls(k))
     if n == 0:
         params = HypParams((p.m, p.alpha), (p.alpha + p.beta + 1,))
+        pref = exact_first(_prefactor, (p.alpha, p.beta), ctx)
     else:
         params, pref = recast_params(p.alpha, p.beta, p.m, n, ctx)
     res = eval_at_1(params, ctx)
@@ -383,15 +366,7 @@ def recast_params(alpha, beta, m, n: int,
     dens = tuple((m + i) / n for i in range(1, n + 1)) \
         + tuple((alpha + beta + 1 + i) / (n + 1) for i in range(n + 1))
     params = HypParams(nums, dens)
-    x = beta + 1
-    y = alpha + beta + 1
-    if x.is_exact and y.is_exact:
-        try:
-            return params, gamma_ratio(x, y)
-        except UnsupportedExactError:
-            pass
-    ctx = ctx or DEFAULT_CONTEXT
-    return params, gamma_ratio(ctx.float_scalar(x), ctx.float_scalar(y))
+    return params, exact_first(_prefactor, (alpha, beta), ctx or DEFAULT_CONTEXT)
 
 
 def _poly_mul(a, b):

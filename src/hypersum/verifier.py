@@ -28,12 +28,13 @@ from .numeric_core import (
     Scalar,
     SphereValue,
     UnsupportedExactError,
+    exact_first,
     gamma,
-    gamma_ratio,
     scalar,
 )
 from .hyper_series import HypParams, eval_at_1
-from .ramanujan_sum import RamanujanParams, recast_params, s_closed_form, s_direct
+from .ramanujan_sum import (RamanujanParams, _prefactor, recast_params,
+                            s_closed_form, s_direct)
 
 __all__ = [
     "Verdict",
@@ -49,10 +50,11 @@ __all__ = [
 ]
 
 # Float gammas are right to a few units in the last place at every
-# precision, so this slack is for the sums: the series routes stop on an
-# estimated tail of EvalContext.rel_tol (1e-12 by default), and float sums
-# of alternating terms lose digits to cancellation at low precision.
-# Reports record the tolerance actually used.
+# precision, and real float input to a terminating sum is summed exactly and
+# rounded once, so cancellation costs no digits there.  The slack is for the
+# nonterminating series routes, which stop on an estimated (not bounded)
+# tail of EvalContext.rel_tol (1e-12 by default).  Reports record the
+# tolerance actually used.
 DEFAULT_REL_TOL = 1e-9
 
 
@@ -202,28 +204,19 @@ def _counterexample_2f1(alpha: Scalar, beta: Scalar, m: Scalar,
                         ctx: EvalContext) -> SphereValue:
     # Gamma(beta+1)/Gamma(m) * 2F1(beta+1, alpha; m+1; 1); the constraint
     # m = alpha+beta+1 collapsed the Gamma(m+2j) pair termwise.
-    x, y = beta + 1, m
-    if x.is_exact and y.is_exact:
-        try:
-            pref = gamma_ratio(x, y)
-        except UnsupportedExactError:
-            pref = gamma_ratio(ctx.float_scalar(x), ctx.float_scalar(y))
-    else:
-        pref = gamma_ratio(ctx.float_scalar(x), ctx.float_scalar(y))
+    pref = exact_first(_prefactor, (alpha, beta), ctx)
     series = eval_at_1(HypParams((beta + 1, alpha), (m + 1,)), ctx)
     return pref * series.value
 
 
 def _counterexample_reduced(alpha: Scalar, m: Scalar,
                             ctx: EvalContext) -> SphereValue:
-    # m / ((m - alpha) * Gamma(alpha+1))
-    try:
-        g = gamma(alpha + 1)
-    except UnsupportedExactError:
-        g = gamma(ctx.float_scalar(alpha + 1))
-    num = SphereValue.of(m)
-    den = SphereValue.of(m - alpha) * g
-    return num * den.reciprocal()
+    def reduced(alpha, m):
+        # m / ((m - alpha) * Gamma(alpha+1))
+        den = SphereValue.of(m - alpha) * gamma(alpha + 1)
+        return SphereValue.of(m) * den.reciprocal()
+
+    return exact_first(reduced, (alpha, m), ctx)
 
 
 def _value_str(v: SphereValue, ctx: EvalContext) -> str:

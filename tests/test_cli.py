@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface (in-process main())."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -73,12 +77,37 @@ class TestEval:
         code, rec = run(capsys, ["eval", "pfq", "--num=3,2", "--den=1"])
         assert code == 2
         assert "error" in rec
+        assert rec["params"] == {"num": "3,2", "den": "1", "mode": "exact",
+                                 "precision": 256}
+        assert rec["timing_s"] > 0
+        jsonschema.validate(rec, OUTPUT_SCHEMA)
 
     def test_pole_exits_3(self, capsys):
         code, rec = run(capsys, ["eval", "ramanujan", "--alpha=0.7",
                                  "--beta=-3.5", "--m=0.3", "--z=0.5",
                                  "--mode=float"])
         assert code == 3
+        assert rec["params"] == {"alpha": "0.7", "beta": "-3.5", "m": "0.3",
+                                 "z": "0.5", "mode": "float",
+                                 "precision": 256}
+        assert rec["timing_s"] > 0
+        jsonschema.validate(rec, OUTPUT_SCHEMA)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "inf+1j"])
+    def test_float_mode_non_finite_exits_1(self, capsys, value):
+        code = main(["eval", "ramanujan", "--alpha=-2", f"--beta={value}",
+                     "--m=0.5", "--z=1", "--mode=float"])
+        assert "--beta" in assert_one_line_error(capsys, code)
+
+    def test_float_mode_theorem_is_right_at_53_bits(self, capsys):
+        # the alternating terms cancel to 9 digits; the sum is exact on the
+        # float inputs and rounded once, so the verdict is a match
+        code, rec = run(capsys, ["verify", "theorem", "--mode=float", "--k=8",
+                                 "--beta=0.5", "--m=0.3333333333333333",
+                                 "--z=3.5", "--precision=53"])
+        assert code == 0
+        assert rec["verdict"] == "WithinTolerance"
+        assert "exact" not in rec["report"]["lhs"]
 
     def test_malformed_rational_exits_1(self, capsys):
         code = main(["eval", "ramanujan", "--alpha=-2", "--beta=xyz",
@@ -219,6 +248,13 @@ class TestSweep:
         assert main(["sweep", "--grid", str(tmp_path / "nope.json"),
                      "--out", out]) == 1
 
+    def test_float_mode_non_finite_value_exits_1(self, capsys, tmp_path):
+        grid = self.write_grid(tmp_path, {
+            "points": [{"k": 2, "beta": float("inf"), "m": 0.5, "z": 1}]})
+        code = main(["sweep", "--grid", grid, "--out",
+                     str(tmp_path / "out.csv"), "--mode=float"])
+        assert_one_line_error(capsys, code)
+
     def test_malformed_point_is_skipped(self, capsys, tmp_path):
         grid = self.write_grid(tmp_path, {"points": [{"beta": "1/2"}]})
         out = str(tmp_path / "out.csv")
@@ -251,3 +287,20 @@ class TestUsage:
         monkeypatch.setenv("HYPERSUM_PRECISION", "abc")
         code = main(["eval", "pfq", "--num=1/3,1/4", "--den=25/12"])
         assert "HYPERSUM_PRECISION" in assert_one_line_error(capsys, code)
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the reader is gone before the record is written, as in `... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypersum.cli", "eval", "ramanujan",
+             "--alpha=1/2", "--beta=1/3", "--m=1/5", "--z=0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -144,6 +144,17 @@ class TestTerminatingEval:
                    Scalar.exact(exact_value(ref)).to_mpc(113)) < 1e-30
         assert r.tail_bound == 0.0 and isinstance(r.tail_bound, float)
 
+    def test_float_parameters_cancelling_sum(self):
+        # 101 alternating terms as large as ~4e24 sum to ~0.31: the float
+        # parameters are summed as the exact rationals they are, then rounded
+        r = pfq([-100, 0.3], [2.7], EvalContext(precision=53))
+        v = r.value.finite
+        assert v.is_float and v.prec == 53
+        ref = exact_value(pfq([-100, F(0.3)], [F(2.7)]))
+        with mp.workprec(212):
+            exact = mp.mpf(ref.numerator) / ref.denominator
+            assert abs(v.to_mpc(53) - exact) / abs(exact) <= mp.mpf(2) ** -51
+
 
 class TestConvergentEval:
     def test_telescoping_value(self):

@@ -31,6 +31,7 @@ from hypersum.ramanujan_sum import (
     s_integer_form,
     s_polynomial,
 )
+from hypersum.verifier import brute_force_oracle
 
 # z values the theorem is exercised at; 1+1j goes through float mode
 THEOREM_Z = (0, 1, 2, 3, F(7, 2), F(-1, 2))
@@ -118,6 +119,33 @@ class TestDirectTerminating:
         assert res.value.finite.is_float
         assert abs(res.value.finite.to_mpc(64) - F(45, 64)) < 1e-12
         assert res.tail_bound == 0.0 and isinstance(res.tail_bound, float)
+
+    @pytest.mark.parametrize("k,beta,m,prec", [
+        *((k, 0.5, 0.3333333333333333, prec)
+          for k in (8, 20, 40) for prec in (53, 256)),
+        (20, -0.75, 0.3333333333333333, 53),
+        (40, -0.75, 0.3333333333333333, 256),
+        (20, -0.75, 0.0, 53),
+        (40, 0.5, 0.0, 256),
+    ])
+    def test_float_precision_honesty(self, k, beta, m, prec):
+        # the alternating terms cancel catastrophically (at k = 20 the
+        # largest term is ~2e21 times the sum), yet a P-bit result must be
+        # right to P bits: the float inputs are dyadic rationals, summed
+        # exactly and rounded once
+        z = 3.5
+        res = s_direct(RamanujanParams(-k, beta, m, z), EvalContext(precision=prec))
+        v = res.value.finite
+        assert v.is_float and v.prec == prec
+        assert res.tail_bound == 0.0 and isinstance(res.tail_bound, float)
+        if m == 0.0:   # the oracle's series shape has a pole at m = 0
+            ref = s_closed_form(RamanujanParams(-k, F(beta), F(m), F(z))).finite.fraction
+        else:
+            ref = brute_force_oracle(k, F(beta), F(m), F(z)).fraction
+        with mpmath.workprec(4 * prec):
+            exact = mpmath.mpf(ref.numerator) / ref.denominator
+            rel = abs(v.to_mpc(prec) - exact) / abs(exact)
+            assert rel <= mpmath.mpf(2) ** -(prec - 2)
 
     @given(
         st.integers(min_value=0, max_value=5),
