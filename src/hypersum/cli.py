@@ -281,7 +281,7 @@ def _cmd_verify(args, params: dict):
                 raise UsageError(f"verify inner-sum requires --{flag}")
         params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
         value = inner_sum_E(_parse_scalar(args.m, args.mode, "--m"),
-                            args.n, args.r)
+                            args.n, args.r, ctx)
         expected = Scalar.exact(1 if args.r == 0 else 0)
         rep = compare(SphereValue.of(value), SphereValue.of(expected),
                       ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
@@ -291,7 +291,7 @@ def _cmd_verify(args, params: dict):
                 raise UsageError(f"verify finite-diff requires --{flag}")
         params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
         value = finite_difference_check(
-            _parse_scalar(args.m, args.mode, "--m"), args.n, args.r)
+            _parse_scalar(args.m, args.mode, "--m"), args.n, args.r, ctx)
         rep = compare(SphereValue.of(value), SphereValue.of(Scalar.exact(0)),
                       ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
     elif identity == "askey-ismail":

@@ -16,7 +16,9 @@ Summation strategy by case:
   t_N * u(N) where u satisfies u(N) = 1 + r(N) u(N+1), and u is expanded in
   powers of 1/N.  The expansion coefficients come from a triangular linear
   system and do not depend on N, so the cutoff can be doubled cheaply until
-  the correction is certified self-consistent.
+  two truncation depths of the correction agree.  r and every column of
+  the system are products of linear factors (1 + c/N)^{+-1}, each applied
+  as a first-order recurrence, so the build costs O(depth^2).
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class EvalResult:
     # Truncation error only.  The int 0 marks an exact value; a terminating
     # sum rounded to float reads 0.0 (real input was summed exactly, so its
     # one error is the final rounding); other floats are the estimated tail.
+    # On the balanced route that estimate is the difference between two
+    # truncation depths, not a bound: it can read 0.0, or far below the
+    # true error.
     tail_bound: Union[int, float]
     classification: SeriesClassification
     experimental: bool = False
@@ -265,39 +270,22 @@ def _sum_geometric(params: HypParams, cls: SeriesClassification,
         partial=partial, terms_used=ctx.max_terms)
 
 
-def _poly_mul(a, b, length):
-    out = [mp.mpc(0)] * length
-    for i, ai in enumerate(a):
-        if i >= length:
-            break
-        for j, bj in enumerate(b):
-            if i + j >= length:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a, length):
-    # power-series reciprocal; a[0] must be nonzero
-    out = [1 / a[0]]
-    for t in range(1, length):
-        s = mp.mpc(0)
-        for i in range(1, min(t, len(a) - 1) + 1):
-            s += a[i] * out[t - i]
-        out.append(-s / a[0])
-    return out
-
-
 def _ratio_series(a_vals, b_vals, length):
     """Coefficients of r(x) = prod(1 + a_i x) / [prod(1 + b_j x) (1 + x)]
-    where x = 1/N; valid for the balanced case p = q+1."""
-    num = [mp.mpc(1)]
+    where x = 1/N; valid for the balanced case p = q+1.
+
+    Each linear factor is one first-order recurrence on the truncated
+    series: multiplying by (1 + c x) is r[t] += c r[t-1] with t descending,
+    dividing by it is r[t] -= c r[t-1] with t ascending.
+    """
+    r = [mp.mpc(1)] + [mp.mpc(0)] * (length - 1)
     for a in a_vals:
-        num = _poly_mul(num, [mp.mpc(1), mp.mpc(a)], length)
-    den = [mp.mpc(1)]
+        for t in range(length - 1, 0, -1):
+            r[t] += a * r[t - 1]
     for b in list(b_vals) + [mp.mpc(1)]:
-        den = _poly_mul(den, [mp.mpc(1), mp.mpc(b)], length)
-    return _poly_mul(num, _series_inv(den, length), length)
+        for t in range(1, length):
+            r[t] -= b * r[t - 1]
+    return r
 
 
 def _tail_coefficients(r, depth):
@@ -306,19 +294,20 @@ def _tail_coefficients(r, depth):
     Substituting the ansatz and collecting powers of x = 1/N gives a lower
     triangular system.  The x^0 equation pins c_{-1} = 1/s with
     s = sum(den) - sum(num) (the convergence abscissa), and each higher
-    order determines one further coefficient.
+    order determines one further coefficient.  Column k of the system needs
+    r(x) (1+x)^{-k}; one running copy is divided by (1 + x) per column, so
+    the whole build costs O(depth^2).
     """
     em1 = [-(r[t + 1] + r[t]) for t in range(depth + 1)]
     es = []
+    rk = r[:depth + 1]
     for k in range(depth):
-        # series of (1+x)^{-k}
-        g = [mp.mpc(1)]
-        for i in range(depth):
-            g.append(g[-1] * (-(k + i)) / (i + 1))
-        rg = _poly_mul(r, g, depth + 1)
+        if k:
+            for t in range(1, depth + 1):
+                rk[t] -= rk[t - 1]
         ek = [mp.mpc(0)] * (depth + 1)
         for t in range(k, depth + 1):
-            ek[t] = (1 if t == k else 0) - rg[t - k]
+            ek[t] = (1 if t == k else 0) - rk[t - k]
         es.append(ek)
     cm1 = 1 / em1[0]
     cs = []
@@ -343,7 +332,14 @@ def _tail_u(n, cm1, cs):
 def _sum_balanced(params: HypParams, cls: SeriesClassification,
                   ctx: EvalContext) -> EvalResult:
     """p = q+1 at unit argument: partial sum to N plus the asymptotic tail
-    correction t_N u(N), doubling N until two truncation depths agree."""
+    correction t_N u(N), doubling N until two truncation depths agree.
+
+    tail_bound is |t_N (u_hi - u_lo)|, where u_lo drops the last four of the
+    18 expansion coefficients that u_hi uses.  It estimates the truncation
+    error and bounds nothing: it reads 0.0 for 2F1(1, 4/7; 291/56; 1) at 53
+    bits, and 3.8e-26 against a true error of 1.15e-16 for
+    2F1(5/3, 3; 58/9; 1).
+    """
     depth = 18
     prec_work = ctx.precision + 40
     with working_precision(prec_work):

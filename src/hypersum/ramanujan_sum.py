@@ -415,68 +415,63 @@ def s_polynomial(k: int, beta, m) -> PolynomialInZ:
     return PolynomialInZ(tuple(Scalar.exact(c) for c in coeffs))
 
 
-def inner_sum_E(m, n: int, r: int) -> Scalar:
+def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
     """E = sum_{j=0}^{r} [(m+r)_{nj} / (m+1)_{nj}] (-1)^j C(r, j).
 
-    Exact; equals 1 at r = 0 and 0 for every r >= 1.  The ratio of stride
+    Equals 1 at r = 0 and 0 for every r >= 1.  The ratio of stride
     Pochhammers is updated incrementally so the cost is O(n r) ring
-    operations rather than O(n r^2).
+    operations rather than O(n r^2).  Through exact_first: a real m is summed
+    exactly (a float m as the exact rational it is, rounded once to
+    ctx.precision); a complex m is summed in float with guard bits.
     """
     if n < 1:
         raise InvalidParametersError("inner_sum_E needs n >= 1")
     if r < 0:
         raise ValueError("r must be a nonnegative integer")
-    m = scalar(m)
-    if m.is_rational:
-        mf = m.fraction
-        ratio = Fraction(1)
-        acc = Fraction(0)
+
+    def alternating_sum(m):
+        ratio = Scalar.exact(1)
+        acc = Scalar.exact(0)
         for j in range(r + 1):
-            acc += (-1) ** j * math.comb(r, j) * ratio
+            acc = acc + (-1) ** j * math.comb(r, j) * ratio
             if j < r:
                 for i in range(n * j, n * (j + 1)):
-                    den = mf + 1 + i
-                    if den == 0:
+                    den = m + 1 + i
+                    if den.is_zero():
                         raise PoleError(
                             f"(m+1)_{{{n}j}} vanishes before j = {j + 1}",
                             term_index=j + 1)
-                    ratio = ratio * (mf + r + i) / den
-        return Scalar.exact(acc)
-    ratio = Scalar.from_float(1, m.prec)
-    acc = Scalar.from_float(0, m.prec)
-    for j in range(r + 1):
-        acc = acc + (-1) ** j * math.comb(r, j) * ratio
-        if j < r:
-            for i in range(n * j, n * (j + 1)):
-                den = m + 1 + i
-                if den.is_zero():
-                    raise PoleError(
-                        f"(m+1)_{{{n}j}} vanishes before j = {j + 1}",
-                        term_index=j + 1)
-                ratio = ratio * (m + r + i) / den
-    return acc
+                    ratio = ratio * (m + r + i) / den
+        return SphereValue.of(acc)
+
+    return exact_first(alternating_sum, (m,), ctx or DEFAULT_CONTEXT).finite
 
 
 def _falling(p: Scalar, t: int) -> Scalar:
     return pochhammer(p - (t - 1), t)
 
 
-def finite_difference_check(m, n: int, r: int) -> Scalar:
+def finite_difference_check(m, n: int, r: int,
+                            ctx: Optional[EvalContext] = None) -> Scalar:
     """(r-1)-th derivative of x^{m+r-1} (1 - x^n)^r at x = 1, by expanding
     the binomial and differentiating monomials: the result is
     sum_j (-1)^j C(r,j) (m+r-1+nj)(m+r-2+nj)...(m+1+nj), a falling
     factorial of length r-1 per term.  Exactly zero, since the zero of
-    (1-x^n)^r at x = 1 has order r > r-1."""
+    (1-x^n)^r at x = 1 has order r > r-1.  Summed through exact_first, as
+    inner_sum_E is."""
     if n < 1:
         raise InvalidParametersError("finite_difference_check needs n >= 1")
     if r < 1:
         raise ValueError("r must be a positive integer")
-    m = scalar(m)
-    acc = Scalar.exact(0)
-    for j in range(r + 1):
-        p = m + (r - 1 + n * j)
-        acc = acc + (-1) ** j * math.comb(r, j) * _falling(p, r - 1)
-    return acc
+
+    def alternating_sum(m):
+        acc = Scalar.exact(0)
+        for j in range(r + 1):
+            p = m + (r - 1 + n * j)
+            acc = acc + (-1) ** j * math.comb(r, j) * _falling(p, r - 1)
+        return SphereValue.of(acc)
+
+    return exact_first(alternating_sum, (m,), ctx or DEFAULT_CONTEXT).finite
 
 
 def eq6_prefactor(alpha, beta, m,

@@ -163,6 +163,16 @@ class TestVerify:
         assert code == 0
         assert rec["verdict"] == "ExactMatch"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "inner-sum", "--mode=float", "--m=0.3", "--n=3", "--r=30"],
+        ["verify", "finite-diff", "--mode=float", "--m=0.3", "--n=2", "--r=12"],
+    ])
+    def test_float_alternating_sum_does_not_cancel(self, capsys, argv):
+        code, rec = run(capsys, argv)
+        assert code == 0
+        assert rec["verdict"] == "WithinTolerance"
+        assert rec["report"]["abs_diff"] == 0.0
+
     def test_askey_ismail_spot(self, capsys):
         code, rec = run(capsys, ["verify", "askey-ismail", "--num=1,1",
                                  "--den=3", "--k=1"])

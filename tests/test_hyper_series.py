@@ -156,6 +156,58 @@ class TestTerminatingEval:
             assert abs(v.to_mpc(53) - exact) / abs(exact) <= mp.mpf(2) ** -51
 
 
+def _mp(x):
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpmathify(x)
+
+
+def _gauss(a, b, c):
+    g = mpmath.gamma
+    return g(c) * g(c - a - b) / (g(c - a) * g(c - b))
+
+
+def _dixon(a, b, c):
+    g, h = mpmath.gamma, a / 2
+    return (g(1 + h) * g(1 + a - b) * g(1 + a - c) * g(1 + h - b - c)
+            / (g(1 + a) * g(1 + h - b) * g(1 + h - c) * g(1 + a - b - c)))
+
+
+def _two_shift_4f3(a, b, c, e, f):
+    # 4F3(a, b, e+1, f+1; c, e, f): with t_j the terms of 2F1(a, b; c) the
+    # sum is sum t_j (1 + j/e)(1 + j/f), and sum j t_j, sum j(j-1) t_j are
+    # Gauss sums shifted by one and by two
+    g1 = a * b / c * _gauss(a + 1, b + 1, c + 1)
+    g2 = a * (a + 1) * b * (b + 1) / (c * (c + 1)) * _gauss(a + 2, b + 2, c + 2)
+    return _gauss(a, b, c) + (1 / e + 1 / f) * g1 + (g1 + g2) / (e * f)
+
+
+_A, _B, _E, _F = F(1, 3), F(1, 5), F(7, 4), F(5, 2)
+
+
+class TestBalancedClosedForms:
+    @pytest.mark.parametrize("nums,dens,reference", [
+        pytest.param([F(5, 3), F(1, 4), F(2, 7)],
+                     [1 + F(5, 3) - F(1, 4), 1 + F(5, 3) - F(2, 7)],
+                     lambda n, d: _dixon(*n), id="dixon_3f2"),
+        pytest.param([_A, _B, _E + 1, _F + 1], [_A + _B + 2 + F(6, 5), _E, _F],
+                     lambda n, d: _two_shift_4f3(n[0], n[1], *d), id="two_shift_4f3"),
+        pytest.param([F(1, 3), F(1, 4)], [F(25, 12)],
+                     lambda n, d: _gauss(*n, *d), id="gauss_2f1"),
+        pytest.param([0.3 + 0.2j, 0.5], [2.7],
+                     lambda n, d: _gauss(*n, *d), id="gauss_2f1_complex"),
+    ])
+    def test_256_bits_within_2_pow_minus_100(self, nums, dens, reference):
+        # the coefficients of the asymptotic tail up to depth 18 set these
+        # last bits; the references are closed forms evaluated at 600 bits
+        r = pfq(nums, dens, EvalContext(precision=256))
+        assert r.classification.kind is SeriesKind.CONVERGENT
+        with mp.workprec(600):
+            ref = reference([_mp(x) for x in nums], [_mp(x) for x in dens])
+            err = abs(r.value.finite.to_mpc(600) - ref) / abs(ref)
+            assert err <= mp.mpf(2) ** -100, float(mpmath.log(err, 2))
+
+
 class TestConvergentEval:
     def test_telescoping_value(self):
         # terms are 2/((j+1)(j+2)), so the sum telescopes to 2

@@ -287,6 +287,16 @@ class TestInnerSum:
         v = inner_sum_E(0.37, 2, 4)
         assert abs(complex(v.to_mpc(64))) < 1e-10
 
+    @pytest.mark.parametrize("fn,n,r", [(inner_sum_E, 3, 30),
+                                        (finite_difference_check, 2, 12)])
+    def test_float_m_sums_without_cancellation(self, fn, n, r):
+        # 0.3 is summed as the dyadic rational it is, so the alternating
+        # sum is exactly 0 and only then rounded to ctx.precision
+        ctx = EvalContext(precision=53)
+        v = fn(0.3, n, r, ctx)
+        assert v.is_float and v.prec == ctx.precision
+        assert v.to_mpc(ctx.precision) == 0
+
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidParametersError):
             inner_sum_E(F(1, 2), 0, 3)
