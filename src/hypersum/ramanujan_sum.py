@@ -12,12 +12,15 @@ ratio collapses to a Pochhammer symbol, so the value is an exact rational
 expression in beta, m, z; the claimed closed form is
 Gamma(beta+1-m)/Gamma(alpha+beta+1-m) = (beta+1-m-k)_k, and it is
 independent of z.  For nonterminating alpha the closed form generally
-fails; only z = 0 (with convergence) is covered, and all other
-nonterminating evaluations here are marked experimental.
+fails; only z = 0 (with convergence) is covered.  Nonnegative integer z is
+summed as a balanced hypergeometric series; any other z is summed directly
+up to a cutoff N and completed by an asymptotic tail in Hurwitz zeta
+values, and those results are marked experimental.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -170,72 +173,103 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
 
 
 def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
-    """Nonterminating alpha with non-integer z: term-by-term float gammas.
+    """Nonterminating alpha with non-integer z: N direct terms with float
+    gammas, plus an asymptotic tail in Hurwitz zeta values.
 
     Outside the ground the closed form is known to cover, hence flagged
-    experimental.  The terms decay only like 1/j^2 (the gamma-argument
-    growth rates cancel to the exponent beta-m + m-alpha-beta-1 + alpha-1),
-    so the partial sums are Richardson-extrapolated in 1/N over doubling
-    cutoffs instead of waiting for a geometric tail.  With all four
-    parameters real the sum runs in mpf.  The gammas cost the same either
-    way (mpmath sends a zero-imaginary mpc to its real routine), but every
-    mpc addition, product and quotient that forms the gamma arguments and
-    combines the term costs two to four real operations, which made the
-    mpc sum about 1.3x slower on real input.
+    experimental.  Written with (alpha)_j/j! = Gamma(j+alpha)/(Gamma(alpha)
+    Gamma(j+1)), term j is 1/Gamma(alpha) times three gamma ratios
+    Gamma(sigma j+b)/Gamma(sigma j+c) with (sigma; b, c) = (z; beta+1, m+1),
+    (z+1; m, alpha+beta+1) and (1; alpha, 1), whose exponents b-c sum to
+    -2.  The terms j < N are summed directly; the rest is
+    C sum_k e_k zeta(2+k, N), with C the powers of sigma over Gamma(alpha)
+    and e_k from _gamma_ratio_expansion.  Tail terms are added until one falls
+    below 2^-(P+30) of |S|, abs_tol standing in for |S| near 0; a tail not
+    settled by depth 0.6 (P+30) raises ConvergenceError.  N grows with P
+    and with 1/|z|, so that the expansion converges fast from N on; for
+    real z every gamma argument past N has a positive real part, so no
+    pole lies in the tail.  Re z <= 0 is refused: the expansion does not
+    hold there, and the direct terms run first so that a pole or the
+    divergence guard names where the series breaks down.
+
+    With all four parameters real the sum runs in mpf.  The gammas cost the
+    same either way (mpmath sends a zero-imaginary mpc to its real routine),
+    but every mpc operation that forms the gamma arguments and combines the
+    terms costs two to four real ones.
     """
     prec_work = ctx.precision + 30
     with working_precision(prec_work):
-        args = [ctx.float_scalar(v).to_mpc(prec_work)
-                for v in (p.alpha, p.beta, p.m, p.z)]
+        args = [v.to_mpc(prec_work) for v in (p.alpha, p.beta, p.m, p.z)]
         number = mp.mpc
         if all(x.imag == 0 for x in args):
             args = [x.real for x in args]
             number = mp.mpf
         fa, fb, fm, fz = args
+        one = number(1)
+        pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (one, fa, one))
+        reach = max(abs(x) for _, b, c in pairs for x in (b, c))
+        n_direct = max(16, int(mp.ceil((0.4 * prec_work + reach)
+                                       / min(abs(fz), 1))))
         acc = number(0)
-        poch_a = number(1)
+        poch_a = one
         fact = mp.mpf(1)
         grow_streak = 0
         prev_mag = None
-        partials = []
-        target = 128
-        j = 0
-        while True:
-            while j < target:
-                if j > 0:
-                    poch_a = poch_a * (fa + (j - 1))
-                    fact = fact * j
-                t = _gamma_term_float(fa, fb, fm, fz, j)
-                if t is not None:
-                    t = t * poch_a / fact
-                    acc = acc + t
-                    mag = abs(t)
-                    if prev_mag is not None and prev_mag > 0:
-                        grow_streak = grow_streak + 1 if mag >= prev_mag else 0
-                        if j > 32 and grow_streak >= 16:
-                            raise DivergentSeriesError(
-                                "direct series terms stopped decreasing; "
-                                "treating as divergent",
-                                SeriesClassification(SeriesKind.DIVERGENT))
-                    prev_mag = mag
-                j += 1
-            partials.append(acc)
-            if len(partials) >= 4:
-                best, err = _richardson(partials)
-                if err <= max(ctx.rel_tol * abs(best), ctx.abs_tol):
-                    with working_precision(ctx.precision):
-                        val = mp.mpc(fm * best)
-                    return EvalResult(
-                        SphereValue.of(Scalar(val=val, prec=ctx.precision)),
-                        j, float(err * max(abs(fm), mp.mpf(1))),
-                        SeriesClassification(SeriesKind.CONVERGENT),
-                        experimental=True)
-            if 2 * target > ctx.max_terms:
-                partial = Scalar(val=mp.mpc(fm * acc), prec=prec_work)
-                raise ConvergenceError(
-                    f"direct series not certified within {ctx.max_terms} terms",
-                    partial=partial, terms_used=j)
-            target *= 2
+        for j in range(min(n_direct, ctx.max_terms)):
+            if j > 0:
+                poch_a = poch_a * (fa + (j - 1))
+                fact = fact * j
+            t = _gamma_term_float(fa, fb, fm, fz, j)
+            if t is None:
+                continue
+            t = t * poch_a / fact
+            acc = acc + t
+            mag = abs(t)
+            if prev_mag is not None and prev_mag > 0:
+                grow_streak = grow_streak + 1 if mag >= prev_mag else 0
+                if j > 32 and grow_streak >= 16:
+                    raise DivergentSeriesError(
+                        "direct series terms stopped decreasing; "
+                        "treating as divergent",
+                        SeriesClassification(SeriesKind.DIVERGENT))
+            prev_mag = mag
+        if fz.real <= 0:
+            raise DivergentSeriesError(
+                "the direct series has no asymptotic tail for Re z <= 0; "
+                "treating as divergent",
+                SeriesClassification(SeriesKind.DIVERGENT))
+        if n_direct > ctx.max_terms:
+            raise ConvergenceError(
+                f"direct series needs {n_direct} terms before its tail, "
+                f"more than max_terms = {ctx.max_terms}",
+                partial=Scalar(val=mp.mpc(fm * acc), prec=prec_work),
+                terms_used=ctx.max_terms)
+        scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
+            * mp.rgamma(fa)
+        total = acc
+        eps = mp.mpf(2) ** -prec_work
+        depth = int(0.6 * prec_work)
+        for k, e_k in zip(range(depth + 1), _gamma_ratio_expansion(pairs)):
+            last = scale * e_k * mp.zeta(2 + k, n_direct)
+            total = total + last
+            if last != 0 and abs(fm * last) < eps * max(abs(fm * total),
+                                                          ctx.abs_tol):
+                break
+        else:
+            raise ConvergenceError(
+                f"asymptotic tail not settled at depth {depth} past "
+                f"{n_direct} direct terms",
+                partial=Scalar(val=mp.mpc(fm * total), prec=prec_work),
+                terms_used=n_direct)
+        with working_precision(ctx.precision):
+            val = mp.mpc(fm * total)
+        # rounded up to the least positive float rather than to 0.0, which
+        # an estimate below 2^-1074 (P beyond about 1000 bits) would give
+        tail = max(float(abs(fm * last)), math.ulp(0.0))
+        return EvalResult(
+            SphereValue.of(Scalar(val=val, prec=ctx.precision)),
+            n_direct, tail, SeriesClassification(SeriesKind.CONVERGENT),
+            experimental=True)
 
 
 def _gamma_term_float(fa, fb, fm, fz, j):
@@ -264,17 +298,36 @@ def _near_nonpositive_int(x) -> bool:
     return hit is not None and hit[0] <= 0
 
 
-def _richardson(partials):
-    """Neville tableau for S(h) = S - B1 h - B2 h^2 - ... sampled at
-    h_i = h_0 / 2^i; returns (extrapolated value, error estimate)."""
-    row = list(partials)
-    prev_best = row[-1]
-    for k in range(1, len(partials)):
-        w = mp.mpf(2) ** k
-        row = [(w * row[i + 1] - row[i]) / (w - 1) for i in range(len(row) - 1)]
-        err = abs(row[-1] - prev_best)
-        prev_best = row[-1]
-    return prev_best, err
+def _gamma_ratio_expansion(pairs):
+    """Yield e_0 = 1, e_1, e_2, ... with prod Gamma(sigma j+b)/Gamma(sigma j+c)
+    ~ prod (sigma j)^(b-c) * sum_k e_k j^-k as j -> oo, over the
+    (sigma, b, c) in pairs.
+
+    By the Tricomi-Erdelyi expansion (Pacific J. Math. 1, 1951) the log of
+    each ratio is (b-c) log(sigma j) plus sum_n d_n j^-n with
+    d_n = (-1)^(n+1) [B_{n+1}(b) - B_{n+1}(c)] / (n (n+1) sigma^n); the
+    exponential of the summed series follows from
+    k e_k = sum_{n<=k} n d_n e_{k-n}.  Each B_{n+1}(x) is built from the
+    Bernoulli numbers and the powers of x.
+    """
+    bern = [mp.bernoulli(0), mp.bernoulli(1)]
+    powers = [([1, b], [1, c]) for _, b, c in pairs]
+    d = [0]
+    e = [mp.mpf(1)]
+    yield e[0]
+    for k in itertools.count(1):
+        if k > 1:
+            bern.append(mp.bernoulli(k))
+        d_k = 0
+        for (sigma, b, c), (pb, pc) in zip(pairs, powers):
+            pb.append(pb[-1] * b)
+            pc.append(pc[-1] * c)
+            diff = sum(math.comb(k + 1, r) * bern[r] * (pb[k + 1 - r] - pc[k + 1 - r])
+                       for r in range(k + 1) if r < 2 or r % 2 == 0)
+            d_k += diff / sigma ** k
+        d.append((-1) ** (k + 1) * d_k / (k * (k + 1)))
+        e.append(sum(n * d[n] * e[k - n] for n in range(1, k + 1)) / k)
+        yield e[k]
 
 
 def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
@@ -286,7 +339,11 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     rounded once to ctx.precision (see exact_first).
     Nonterminating with z a nonnegative integer: handled by the
     hypergeometric rewrite (s_integer_form).  Anything else is evaluated
-    experimentally with per-term float gammas.
+    experimentally: N terms with float gammas, then the asymptotic tail
+    C sum_k e_k zeta(2+k, N), at ctx.precision + 30 bits until a tail term
+    falls below 2^-(precision+30) of the sum.  terms_used is N and
+    tail_bound |m| times the last tail term, an estimate.  Re z <= 0 raises
+    PoleError or DivergentSeriesError.
     """
     if p.terminating_k is not None:
         return _s_direct_terminating(p, ctx)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersum.numeric_core import (
     ConvergenceError,
+    DivergentSeriesError,
     EvalContext,
     IdentityAssertionError,
     InvalidParametersError,
@@ -402,6 +403,10 @@ class TestExperimental:
         (0.5, 1.0, 0.5, 0.5),
         (F(-1, 3), F(2, 5), F(1, 4), F(3, 2)),
         (F(7, 4), F(1, 3), F(5, 6), F(11, 4)),
+        (0.5 + 0.1j, 1.0, 0.5, 0.5),
+        # alpha+beta+1+j(z+1) is 0 at j = 1: a denominator pole that the
+        # route skips and the reference sees as rgamma(0) = 0
+        (0.25, -2.75, 0.3, 0.5),
     ])
     def test_matches_nsum_reference(self, params):
         # the route at 53 bits and the default rel_tol against mpmath's nsum
@@ -411,19 +416,55 @@ class TestExperimental:
         assert res.experimental
         ref_ctx = mpmath.MPContext()
         ref_ctx.prec = 2 * ctx.precision
-        alpha, beta, m, z = (ref_ctx.mpf(F(x).numerator) / F(x).denominator
+        alpha, beta, m, z = (ref_ctx.mpc(x) if isinstance(x, complex)
+                             else ref_ctx.mpf(F(x).numerator) / F(x).denominator
                              for x in params)
 
         def term(j):
             return (ref_ctx.gamma(beta + 1 + j * z)
                     * ref_ctx.gamma(m + j * (z + 1))
-                    / (ref_ctx.gamma(alpha + beta + 1 + j * (z + 1))
-                       * ref_ctx.gamma(m + j * z + 1))
+                    * ref_ctx.rgamma(alpha + beta + 1 + j * (z + 1))
+                    * ref_ctx.rgamma(m + j * z + 1)
                     * ref_ctx.rf(alpha, j) / ref_ctx.factorial(j))
 
         ref = m * ref_ctx.nsum(term, [0, ref_ctx.inf], method="richardson")
         value = ref_ctx.mpc(res.value.finite.to_mpc(ctx.precision))
         assert abs(value - ref) <= ctx.rel_tol * abs(ref)
+
+    @pytest.mark.parametrize("params", [
+        (0.5, 1, 0.5, 0.5),
+        (F(-1, 3), F(2, 5), F(1, 4), F(3, 2)),
+        (0.5, 1, 0.5, 0.5 + 0.5j),
+    ])
+    def test_precision_honesty(self, params):
+        # a 128-bit result is right to about 128 bits and says so: it agrees
+        # with the 256-bit one, and its tail estimate is below 2^-120 (the
+        # agreement alone would miss a truncation shared by both precisions)
+        lo = s_direct(RamanujanParams(*params), EvalContext(precision=128))
+        hi = s_direct(RamanujanParams(*params), EvalContext(precision=256))
+        lo_v, hi_v = lo.value.finite.to_mpc(256), hi.value.finite.to_mpc(256)
+        assert abs(lo_v - hi_v) <= mpmath.mpf(2) ** -120 * abs(hi_v)
+        assert 0 < hi.tail_bound < lo.tail_bound < 2.0 ** -120
+
+    def test_small_z(self):
+        # the direct part must reach N >> 1/z before the tail takes over
+        res = s_direct(RamanujanParams(0.5, 1.0, 0.5, F(1, 50)),
+                       EvalContext(precision=53))
+        assert res.terms_used > 50 * 16
+        assert abs(res.value.finite.to_mpc(53) - 0.885839461235422) < 1e-12
+
+    @pytest.mark.parametrize("z, error, index", [
+        (F(-1, 2), PoleError, 4),
+        (F(-1, 3), PoleError, 6),
+        (F(-7, 3), PoleError, 3),
+        (-0.0137, DivergentSeriesError, None),
+    ])
+    def test_nonpositive_real_z_refused(self, z, error, index):
+        # the asymptotic tail does not hold for Re z <= 0: the direct terms
+        # name a pole, or the route refuses, and no value comes back
+        with pytest.raises(error) as exc:
+            s_direct(RamanujanParams(0.5, 1.0, 0.5, z), EvalContext(precision=53))
+        assert getattr(exc.value, "term_index", None) == index
 
     def test_numerator_pole_contaminates(self):
         # beta+1+jz = -2.5+0.5j first lands on a nonpositive integer (-2)
@@ -440,7 +481,7 @@ class TestExperimental:
         assert res.value.finite is not None
 
     def test_budget_exhaustion(self):
-        ctx = EvalContext(precision=64, max_terms=256, rel_tol=1e-12,
+        ctx = EvalContext(precision=64, max_terms=32, rel_tol=1e-12,
                           abs_tol=1e-30)
         with pytest.raises(ConvergenceError) as exc:
             s_direct(RamanujanParams(0.5, 1.0, 0.5, 0.5), ctx)
