@@ -160,6 +160,12 @@ def _or_default(value, default):
     return default if value is None else value
 
 
+def _require(args, command: str, flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise UsageError(f"{command} requires --{flag}")
+
+
 def _context_from(args) -> EvalContext:
     precision = args.precision
     if precision is None:
@@ -239,11 +245,11 @@ def _cmd_eval_pfq(args, params: dict):
 
 def _cmd_eval_ramanujan(args, params: dict):
     ctx = _context_from(args)
+    flags = ("alpha", "beta", "m", "z")
+    _require(args, "eval ramanujan", flags)
     vals = {}
-    for flag in ("alpha", "beta", "m", "z"):
+    for flag in flags:
         raw = getattr(args, flag)
-        if raw is None:
-            raise UsageError(f"eval ramanujan requires --{flag}")
         vals[flag] = _parse_scalar(raw, args.mode, f"--{flag}")
         params[flag] = raw
     params.update(mode=args.mode, precision=ctx.precision)
@@ -265,9 +271,7 @@ def _cmd_verify(args, params: dict):
     identity = args.identity
 
     if identity == "theorem":
-        for flag in ("k", "beta", "m", "z"):
-            if getattr(args, flag) is None:
-                raise UsageError(f"verify theorem requires --{flag}")
+        _require(args, "verify theorem", ("k", "beta", "m", "z"))
         params.update(k=args.k, beta=args.beta, m=args.m, z=args.z, mode=args.mode)
         rep = verify_theorem(
             args.k,
@@ -276,9 +280,7 @@ def _cmd_verify(args, params: dict):
             _parse_scalar(args.z, args.mode, "--z"),
             ctx, rel_tol)
     elif identity == "inner-sum":
-        for flag in ("m", "n", "r"):
-            if getattr(args, flag) is None:
-                raise UsageError(f"verify inner-sum requires --{flag}")
+        _require(args, "verify inner-sum", ("m", "n", "r"))
         params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
         value = inner_sum_E(_parse_scalar(args.m, args.mode, "--m"),
                             args.n, args.r, ctx)
@@ -286,9 +288,7 @@ def _cmd_verify(args, params: dict):
         rep = compare(SphereValue.of(value), SphereValue.of(expected),
                       ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
     elif identity == "finite-diff":
-        for flag in ("m", "n", "r"):
-            if getattr(args, flag) is None:
-                raise UsageError(f"verify finite-diff requires --{flag}")
+        _require(args, "verify finite-diff", ("m", "n", "r"))
         params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
         value = finite_difference_check(
             _parse_scalar(args.m, args.mode, "--m"), args.n, args.r, ctx)
@@ -312,9 +312,7 @@ def _cmd_verify(args, params: dict):
         rep = compare(lhs, rhs, ctx, rel_tol,
                       {"a": str(a), "c": str(c), "d": str(d[0]), "k": args.k})
     elif identity == "counterexample":
-        for flag in ("alpha", "beta"):
-            if getattr(args, flag) is None:
-                raise UsageError(f"verify counterexample requires --{flag}")
+        _require(args, "verify counterexample", ("alpha", "beta"))
         params.update(alpha=args.alpha, beta=args.beta, mode=args.mode)
         rep = counterexample_eq9(
             _parse_scalar(args.alpha, args.mode, "--alpha"),
@@ -337,7 +335,9 @@ def _load_grid(path: str, mode: str) -> List[dict]:
     if not isinstance(doc, dict):
         raise UsageError("grid file must be a JSON object; see GRID_SCHEMA")
 
-    def convert(v, flag):
+    def convert(flag, v):
+        if flag == "k":
+            return int(v)
         if isinstance(v, bool) or not isinstance(v, (int, float, str)):
             raise UsageError(f"grid value for {flag} must be a number or string")
         if isinstance(v, int):
@@ -346,16 +346,15 @@ def _load_grid(path: str, mode: str) -> List[dict]:
         # 1/10, float mode gets the same float back; Infinity/NaN are refused
         return _parse_scalar(str(v), mode, flag)
 
-    points = []
-    for pt in doc.get("points", []):
-        points.append({key: (int(val) if key == "k" else convert(val, key))
-                       for key, val in pt.items()})
+    def point(items):
+        return {key: convert(key, val) for key, val in items}
+
+    points = [point(pt.items()) for pt in doc.get("points", [])]
     prod = doc.get("product")
     if prod:
         keys = sorted(prod)
-        for combo in product(*(prod[key] for key in keys)):
-            points.append({key: (int(val) if key == "k" else convert(val, key))
-                           for key, val in zip(keys, combo)})
+        points += [point(zip(keys, combo))
+                   for combo in product(*(prod[key] for key in keys))]
     return points
 
 
@@ -380,8 +379,11 @@ def _cmd_sweep(args, params: dict):
     points = _load_grid(args.grid, args.mode)
     params.update(grid=args.grid, points=len(points), jobs=args.jobs or 1,
                   mode=args.mode)
-    reports = sweep(points, ctx, jobs=args.jobs,
-                    rel_tol=_or_default(args.rel_tol, DEFAULT_REL_TOL))
+    try:
+        reports = sweep(points, ctx, jobs=args.jobs,
+                        rel_tol=_or_default(args.rel_tol, DEFAULT_REL_TOL))
+    except ValueError as exc:  # jobs below 1; points record their own errors
+        raise UsageError(f"argument --jobs: {exc}") from None
 
     def cell(v):
         if v is None:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -117,15 +115,10 @@ class IdentityAssertionError(HypersumError):
     """A built-in cross-check between two expressions failed."""
 
 
-_PRECISION_LOCK = threading.RLock()
-
-
-@contextmanager
-def working_precision(prec: int):
-    """Serialize access to mpmath's global precision and pin it to ``prec``."""
-    with _PRECISION_LOCK:
-        with mp.workprec(prec):
-            yield
+# Pins mpmath's precision to ``prec`` bits inside a with block and restores
+# it on exit.  The setting is global to the process and not locked: the
+# library runs in one thread, and parallel work belongs in separate processes.
+working_precision = mp.workprec
 
 
 class Mode(enum.Enum):
@@ -227,11 +220,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self._coef == 0 if self.is_exact else self._val == 0
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        if self.is_exact:
-            return True
-        return abs(self._val.imag) <= tol
-
     def nearest_integer(self, tol: float = INTEGER_DETECTION_TOL):
         """Return (n, exact_hit) when this value is (near-)integral, else None.
 
@@ -246,12 +234,6 @@ class Scalar:
 
     def is_integer(self, tol: float = INTEGER_DETECTION_TOL) -> bool:
         return self.nearest_integer(tol) is not None
-
-    def as_int(self) -> int:
-        hit = self.nearest_integer()
-        if hit is None:
-            raise ValueError(f"{self} is not an integer")
-        return hit[0]
 
     def is_nonpositive_integer(self, tol: float = INTEGER_DETECTION_TOL) -> bool:
         hit = self.nearest_integer(tol)
@@ -274,18 +256,6 @@ class Scalar:
 
     def to_float_scalar(self, prec: int) -> "Scalar":
         return Scalar(val=self.to_mpc(prec), prec=prec)
-
-    @property
-    def real(self) -> "Scalar":
-        if self.is_exact:
-            return self
-        return Scalar(val=mp.mpc(self._val.real), prec=self.prec)
-
-    @property
-    def imag(self) -> "Scalar":
-        if self.is_exact:
-            return Scalar.exact(0)
-        return Scalar(val=mp.mpc(self._val.imag), prec=self.prec)
 
     # -- arithmetic ---------------------------------------------------------
 

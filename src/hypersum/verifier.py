@@ -10,7 +10,6 @@ at the stated tolerances.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from fractions import Fraction
@@ -225,34 +224,37 @@ def _value_str(v: SphereValue, ctx: EvalContext) -> str:
     return str(v.finite.to_mpc(min(ctx.precision, 64)))
 
 
+def _sweep_point(pt: Mapping, ctx: EvalContext,
+                 rel_tol: float) -> IdentityReport:
+    try:
+        alpha = -pt["k"] if "k" in pt else pt["alpha"]
+        return verify_point(alpha, pt["beta"], pt["m"], pt.get("z", 0),
+                            ctx, rel_tol)
+    except Exception as exc:  # malformed point: record, keep sweeping
+        return IdentityReport(None, None, math.nan, math.nan,
+                              Verdict.POLE_SKIPPED,
+                              {"error": f"{type(exc).__name__}: {exc}",
+                               "point": dict(pt)})
+
+
 def sweep(points: Iterable[Mapping], ctx: Optional[EvalContext] = None,
           jobs: Optional[int] = None,
           rel_tol: float = DEFAULT_REL_TOL) -> List[IdentityReport]:
     """verify_point over a grid.  Each point is a mapping with keys
     alpha (or k, meaning alpha = -k), beta, m, z.  Per-point failures of any
     kind are recorded as PoleSkipped reports; the sweep itself never aborts.
-    Output order follows grid order regardless of completion order."""
+
+    ``jobs`` must be at least 1 and is otherwise ignored: points run one
+    after another in this process, in grid order, and each report carries
+    its ``grid_index``.  The library shares mpmath's global precision, so it
+    is not thread-safe; run parallel sweeps in separate processes."""
     ctx = ctx or DEFAULT_CONTEXT
-    pts = list(points)
-
-    def run(indexed) -> IdentityReport:
-        i, pt = indexed
-        try:
-            alpha = -pt["k"] if "k" in pt else pt["alpha"]
-            rep = verify_point(alpha, pt["beta"], pt["m"], pt.get("z", 0),
-                               ctx, rel_tol)
-        except Exception as exc:  # malformed point: record, keep sweeping
-            rep = IdentityReport(None, None, math.nan, math.nan,
-                                 Verdict.POLE_SKIPPED,
-                                 {"error": f"{type(exc).__name__}: {exc}",
-                                  "point": dict(pt)})
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    reports = [_sweep_point(pt, ctx, rel_tol) for pt in points]
+    for i, rep in enumerate(reports):
         rep.context.setdefault("grid_index", i)
-        return rep
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, enumerate(pts)))
-    return [run(ip) for ip in enumerate(pts)]
+    return reports
 
 
 def summarize(reports: Sequence[IdentityReport]) -> Dict[str, int]:

@@ -265,6 +265,16 @@ class TestSweep:
                      str(tmp_path / "out.csv"), "--mode=float"])
         assert_one_line_error(capsys, code)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, capsys, tmp_path, jobs):
+        grid = self.write_grid(tmp_path, {
+            "points": [{"k": 1, "beta": "1/2", "m": "1/3", "z": 1}]})
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--grid", grid, "--out", str(out),
+                     "--jobs", jobs])
+        assert "--jobs" in assert_one_line_error(capsys, code)
+        assert not out.exists()
+
     def test_malformed_point_is_skipped(self, capsys, tmp_path):
         grid = self.write_grid(tmp_path, {"points": [{"beta": "1/2"}]})
         out = str(tmp_path / "out.csv")
@@ -274,6 +284,23 @@ class TestSweep:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "ramanujan", "--beta=1", "--m=1", "--z=1"],
+         "eval ramanujan requires --alpha"),
+        (["verify", "theorem", "--k=2"], "verify theorem requires --beta"),
+        (["verify", "inner-sum", "--m=1", "--n=2"],
+         "verify inner-sum requires --r"),
+        (["verify", "finite-diff", "--n=2", "--r=1"],
+         "verify finite-diff requires --m"),
+        (["verify", "counterexample", "--alpha=1/2"],
+         "verify counterexample requires --beta"),
+        (["verify", "askey-ismail", "--num=1,2", "--den=3"],
+         "verify askey-ismail requires --num=a,c --den=d --k"),
+    ])
+    def test_missing_flag_message(self, capsys, argv, message):
+        line = assert_one_line_error(capsys, main(argv))
+        assert line == f"hypersum: error: {message}"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -156,10 +156,32 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         pts = [{"k": k, "beta": F(2, 5), "m": F(-1, 4), "z": 2}
                for k in range(6)]
-        serial = sweep(pts)
-        parallel = sweep(pts, jobs=3)
-        assert [r.verdict for r in serial] == [r.verdict for r in parallel]
-        assert [r.context["grid_index"] for r in parallel] == list(range(6))
+        pts += [
+            {"beta": 1, "m": 1, "z": 0},                    # no alpha or k
+            # nonterminating: a float lhs
+            {"alpha": 0.5, "beta": 1.0, "m": 0.5, "z": 0.5},
+            # PoleError at term 4 of the direct series
+            {"alpha": F(1, 2), "beta": 1, "m": F(1, 2), "z": F(-1, 2)},
+        ]
+        ctx = EvalContext(precision=64)
+
+        def record(rep):
+            return (str(rep.lhs), str(rep.rhs), str(rep.rel_diff),
+                    rep.verdict, rep.context)
+
+        # jobs > 1 changes no report
+        serial = sweep(pts, ctx, jobs=1)
+        parallel = sweep(pts, ctx, jobs=2)
+        assert [record(r) for r in serial] == [record(r) for r in parallel]
+        assert [r.context["grid_index"] for r in parallel] == list(range(9))
+        assert [r.verdict for r in serial[6:]] == [
+            Verdict.POLE_SKIPPED, Verdict.MISMATCH, Verdict.POLE_SKIPPED]
+        assert serial[7].lhs.finite.is_float
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep([{"k": 1, "beta": 1, "m": 1, "z": 0}], jobs=jobs)
 
     def test_bad_point_is_recorded_not_raised(self):
         reps = sweep([{"beta": 1, "m": 1, "z": 0}])   # no alpha or k
