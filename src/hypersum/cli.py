@@ -337,7 +337,11 @@ def _load_grid(path: str, mode: str) -> List[dict]:
 
     def convert(flag, v):
         if flag == "k":
-            return int(v)
+            if isinstance(v, str) and v.strip().removeprefix("-").isdecimal():
+                return int(v)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise UsageError(f"grid value for k must be an integer: {v!r}")
+            return v
         if isinstance(v, bool) or not isinstance(v, (int, float, str)):
             raise UsageError(f"grid value for {flag} must be a number or string")
         if isinstance(v, int):

@@ -684,9 +684,13 @@ def gamma(x: Scalar) -> SphereValue:
 
 def pochhammer(a, j: int) -> Scalar:
     """Rising factorial (a)_j = a(a+1)...(a+j-1), extended to negative j by
-    (a)_{-n} = 1/(a-n)_n.  Exact for exact ``a``; raises PoleError when a
-    negative-index value is infinite (use pochhammer_sphere for those)."""
+    (a)_{-n} = 1/(a-n)_n; raises PoleError where that is infinite (see
+    pochhammer_sphere).  Exact for exact ``a``: a rational p/q gives the one
+    integer product prod_{i<j} (p + i q) / q^j, in lowest terms: gcd(p+iq, q) = 1."""
     a = scalar(a)
+    if j >= 0 and a.is_rational:
+        p, q = a.fraction.as_integer_ratio()
+        return Scalar(coef=Fraction(math.prod(range(p, p + j * q, q)), q ** j))
     if j >= 0:
         acc = Scalar.exact(1) if a.is_exact else Scalar.from_float(1, a.prec)
         for i in range(j):

@@ -426,50 +426,42 @@ def recast_params(alpha, beta, m, n: int,
     return params, exact_first(_prefactor, (alpha, beta), ctx or DEFAULT_CONTEXT)
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poch_fraction(base: Fraction, j: int) -> Fraction:
-    acc = Fraction(1)
-    for i in range(j):
-        acc *= base + i
-    return acc
-
-
 def s_polynomial(k: int, beta, m) -> PolynomialInZ:
     """Expand m * sum_j (beta+1-k+j(z+1))_{k-j} (m+jz+1)_{j-1} (-k)_j / j!
     as an explicit polynomial in z (exact rational coefficients).
 
     The j = 0 term's (m+1)_{-1} = 1/m is cancelled against the leading m
-    before anything is evaluated, so m = 0 is fine.  Degree is at most
-    k-1 by construction; the theorem says every z-coefficient vanishes and
-    the constant term is (beta+1-m-k)_k.
+    before anything is evaluated, so m = 0 is fine: it is (beta+1-k)_k.
+    With beta = pb/qb, m = pm/qm, every linear factor scaled to integers and
+    (-k)_j / j! = (-1)^j C(k, j), the j >= 1 terms add up in integers over
+    the common denominator qb^(k-1) qm^(k-1); each coefficient is made a
+    Fraction once.  Degree is at most k-1; the theorem says every
+    z-coefficient vanishes and the constant term is (beta+1-m-k)_k.
     """
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     beta, m = scalar(beta), scalar(m)
     if not (beta.is_rational and m.is_rational):
         raise UnsupportedExactError("polynomial expansion needs rational beta, m")
-    b, mf = beta.fraction, m.fraction
-    coeffs = [Fraction(0)] * max(k, 1)
-    coeffs[0] = _poch_fraction(b + 1 - k, k)
+    (pb, qb), (pm, qm) = beta.fraction.as_integer_ratio(), m.fraction.as_integer_ratio()
+    total = [0] * max(k, 1)
     for j in range(1, k + 1):
-        scale = mf * _poch_fraction(Fraction(-k), j) / math.factorial(j)
-        if scale == 0:
-            continue
-        poly = [Fraction(1)]
-        for i in range(k - j):
-            poly = _poly_mul(poly, [b + 1 - k + j + i, Fraction(j)])
-        for i in range(j - 1):
-            poly = _poly_mul(poly, [mf + 1 + i, Fraction(j)])
-        for power, c in enumerate(poly):
-            coeffs[power] += scale * c
-    return PolynomialInZ(tuple(Scalar.exact(c) for c in coeffs))
+        factors = [(pb + qb * (1 - k + j + i), qb * j) for i in range(k - j)] \
+            + [(pm + qm * (1 + i), qm * j) for i in range(j - 1)]
+        # multiplying by (c0 + c1 z) is r[t] = c0 r[t] + c1 r[t-1], t descending
+        poly = [1] + [0] * (k - 1)
+        for deg, (c0, c1) in enumerate(factors, 1):
+            for t in range(deg, 0, -1):
+                poly[t] = c0 * poly[t] + c1 * poly[t - 1]
+            poly[0] *= c0
+        # from qb^(k-j) qm^(j-1) to the common denominator
+        weight = (-1) ** j * math.comb(k, j) * qb ** (j - 1) * qm ** (k - j)
+        for t, c in enumerate(poly):
+            total[t] += weight * c
+    den = qm * (qb * qm) ** max(k - 1, 0)
+    coeffs = [Scalar(coef=Fraction(pm * c, den)) for c in total]
+    coeffs[0] = coeffs[0] + pochhammer(beta + 1 - k, k)
+    return PolynomialInZ(tuple(coeffs))
 
 
 def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:

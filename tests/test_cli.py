@@ -275,6 +275,26 @@ class TestSweep:
         assert "--jobs" in assert_one_line_error(capsys, code)
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["abc", 2.5, True])
+    def test_non_integer_k_exits_1(self, capsys, tmp_path, k):
+        # written without write_grid: 2.5 and true do not fit GRID_SCHEMA
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            {"points": [{"k": k, "beta": "1/2", "m": "1/3", "z": 1}]}))
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--grid", str(grid), "--out", str(out)])
+        assert "grid value for k" in assert_one_line_error(capsys, code)
+        assert not out.exists()
+
+    def test_integer_string_k(self, capsys, tmp_path):
+        grid = self.write_grid(tmp_path, {
+            "points": [{"k": "2", "beta": "1/2", "m": "1/3", "z": 4}]})
+        out = tmp_path / "out.csv"
+        code, rec = run(capsys, ["sweep", "--grid", grid, "--out", str(out)])
+        assert code == 0
+        assert rec["summary"]["ExactMatch"] == 1
+        assert "-5/36" in out.read_text()
+
     def test_malformed_point_is_skipped(self, capsys, tmp_path):
         grid = self.write_grid(tmp_path, {"points": [{"beta": "1/2"}]})
         out = str(tmp_path / "out.csv")

@@ -244,6 +244,28 @@ class TestGammaFloat:
             assert abs(lhs - 1) < honest_bound(113 - 2)
 
 
+def pochhammer_oracle(a: Fraction, j: int):
+    """(a)_j as a plain Fraction product, one factor at a time; None at a
+    negative-index pole."""
+    if j < 0:
+        down = pochhammer_oracle(a + j, -j)
+        return None if down == 0 else 1 / down
+    acc = Fraction(1)
+    for i in range(j):
+        acc *= a + i
+    return acc
+
+
+def float_pochhammer_oracle(a: Scalar, j: int) -> Scalar:
+    """The float product a(a+1)...(a+j-1) multiplied one Scalar at a time."""
+    if j < 0:
+        return 1 / float_pochhammer_oracle(a + j, -j)
+    acc = Scalar.from_float(1, a.prec)
+    for i in range(j):
+        acc = acc * (a + i)
+    return acc
+
+
 class TestPochhammer:
     def test_known_values(self):
         assert pochhammer(5, 3).fraction == 210
@@ -284,6 +306,45 @@ class TestPochhammer:
                 pochhammer(a, -n)
         else:
             assert (pochhammer(a, -n) * down).fraction == 1
+
+    @given(
+        st.one_of(
+            st.integers(min_value=-40, max_value=5).map(Fraction),
+            st.fractions(min_value=-60, max_value=60, max_denominator=1000),
+        ),
+        st.integers(min_value=-30, max_value=60),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_product(self, a, j):
+        # nonpositive integers a make the j >= 0 products pass through 0 and
+        # the j < 0 ones hit poles
+        expect = pochhammer_oracle(a, j)
+        if expect is None:
+            with pytest.raises(PoleError):
+                pochhammer(a, j)
+            return
+        got = pochhammer(a, j).fraction
+        assert got == expect
+        assert got.denominator > 0
+        assert math.gcd(got.numerator, got.denominator) == 1
+
+    @pytest.mark.parametrize("prec", [53, 113, 256])
+    def test_float_path_matches_scalar_product(self, prec):
+        for x in (0.5, -2.25, 3.7, complex(0.3, -1.2)):
+            a = Scalar.from_float(x, prec)
+            for j in range(-6, 12):
+                got = pochhammer(a, j)
+                assert got.is_float and got.prec == prec
+                assert got == float_pochhammer_oracle(a, j)
+
+    def test_sqrtpi_multiple(self):
+        # (a)_0 = 1 and (a)_1 = a stay exact; a + 1 has no exact form
+        a = Scalar.exact_sqrtpi(Fraction(3, 2))
+        assert pochhammer(a, 0) == Scalar.exact(1)
+        assert pochhammer(a, 1) == a
+        for j in (2, 5, -1):
+            with pytest.raises(UnsupportedExactError):
+                pochhammer(a, j)
 
     def test_float_mode(self):
         p = pochhammer(Scalar.from_float(0.5, 113), 4)

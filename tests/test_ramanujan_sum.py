@@ -1,5 +1,6 @@
 """Tests for the central sum S, its closed form, and the proof identities."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -160,7 +161,60 @@ class TestDirectTerminating:
         assert s_direct(RamanujanParams(-k, beta, m, z)).value == cf
 
 
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _poch_fraction(base: F, j: int) -> F:
+    acc = F(1)
+    for i in range(j):
+        acc *= base + i
+    return acc
+
+
+def s_polynomial_reference(k: int, b: F, m: F) -> list:
+    """The z-expansion of the reduced theorem sum, one Fraction product at a
+    time: the reference for s_polynomial's integer arithmetic."""
+    coeffs = [F(0)] * max(k, 1)
+    coeffs[0] = _poch_fraction(b + 1 - k, k)
+    for j in range(1, k + 1):
+        scale = m * _poch_fraction(F(-k), j) / math.factorial(j)
+        poly = [F(1)]
+        for i in range(k - j):
+            poly = _poly_mul(poly, [b + 1 - k + j + i, F(j)])
+        for i in range(j - 1):
+            poly = _poly_mul(poly, [m + 1 + i, F(j)])
+        for power, c in enumerate(poly):
+            coeffs[power] += scale * c
+    return coeffs
+
+
+# (beta, m): negative beta, m = 0, negative m, integers, denominators up to 9
+POLYNOMIAL_CASES = (
+    (F(1, 2), F(1, 3)), (F(-7, 3), F(5, 9)), (F(9, 4), F(0)),
+    (F(3, 8), F(-5, 2)), (F(-11, 9), F(-8, 7)), (F(4), F(6, 5)),
+    (F(-2), F(1)), (F(5, 6), F(-3)),
+)
+
+
 class TestPolynomial:
+    @pytest.mark.parametrize("k", list(range(25)) + [40])
+    def test_matches_fraction_expansion(self, k):
+        for beta, m in POLYNOMIAL_CASES:
+            got = [c.fraction for c in s_polynomial(k, beta, m).coefficients]
+            assert got == s_polynomial_reference(k, beta, m), (beta, m)
+
+    def test_k60_z_coefficients_vanish(self):
+        beta, m = F(-13, 9), F(7, 8)
+        poly = s_polynomial(60, beta, m)
+        assert len(poly.coefficients) == 60
+        assert all(c.is_zero() for c in poly.z_coefficients())
+        assert poly.constant_term == pochhammer(Scalar.exact(beta) + 1 - m - 60, 60)
+
     def test_k1_constant_is_beta_minus_m(self):
         poly = s_polynomial(1, F(1, 3), F(5, 7))
         assert poly.degree == 0

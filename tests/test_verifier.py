@@ -109,6 +109,10 @@ class TestVerifyTheorem:
         with pytest.raises(InvalidParametersError):
             verify_theorem(-1, F(1, 2), F(1, 3), 0)
 
+    def test_k100_exact_match(self):
+        rep = verify_theorem(100, F(-13, 9), F(7, 8), F(5, 2))
+        assert rep.verdict is Verdict.EXACT_MATCH
+
 
 class TestCounterexample:
     def test_half_half_mismatch(self):
