@@ -9,7 +9,7 @@ infinities instead of exceptions.
 
 from fractions import Fraction
 
-from hypersum import EvalContext, Scalar, gamma, gamma_ratio, pochhammer
+from hypersum import Scalar, gamma, gamma_ratio, pochhammer
 
 # integers and half-integers have exact gamma values
 print("Gamma(5)    =", gamma(Scalar.exact(5)))
@@ -19,9 +19,8 @@ print("Gamma(-3/2) =", gamma(Scalar.exact(Fraction(-3, 2))))
 # nonpositive integers are poles: the point at infinity, not an error
 print("Gamma(-2)   =", gamma(Scalar.exact(-2)))
 
-# everything else goes through the float path at the context precision
-ctx = EvalContext(precision=128)
-print("Gamma(3.7)  =", gamma(ctx.float_scalar(Scalar.exact(Fraction(37, 10)))))
+# everything else goes through the float path, here at 128 bits
+print("Gamma(3.7)  =", gamma(Scalar.from_float(Fraction(37, 10), prec=128)))
 
 # ratios of gammas with integer argument difference reduce to Pochhammer
 # products, which survive pole/pole cancellation exactly:

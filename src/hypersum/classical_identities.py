@@ -34,10 +34,7 @@ __all__ = [
 
 def gauss_series_converges(a, b, c) -> bool:
     """Whether 2F1(a,b;c;1) converges as a series: Re(c-a-b) > 0."""
-    s = scalar(c) - scalar(a) - scalar(b)
-    if s.is_rational:
-        return s.fraction > 0
-    return s.to_mpc(s.prec or 113).real > 0
+    return (scalar(c) - scalar(a) - scalar(b)).real_part() > 0
 
 
 def gauss_closed_form(a, b, c, ctx: Optional[EvalContext] = None) -> SphereValue:
@@ -84,10 +81,7 @@ def askey_ismail_validity(a, d) -> bool:
     Terminating instances are finite rational expressions that hold beyond
     it, so this is reported alongside results rather than enforced.
     """
-    a, d = scalar(a), scalar(d)
-    ra = a.fraction if a.is_rational else a.to_mpc(a.prec or 113).real
-    rd = d.fraction if d.is_rational else d.to_mpc(d.prec or 113).real
-    return rd > ra > 0
+    return scalar(d).real_part() > scalar(a).real_part() > 0
 
 
 def askey_ismail_lhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
@@ -103,17 +97,22 @@ def askey_ismail_lhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> Eva
 
 
 def askey_ismail_rhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
-    """(d-a)_k (d-c)_k / ((d-a-c)_k (d)_k) times 3F2(-k, a, c; k+d, d-c; 1)."""
+    """(d-a)_k (d-c)_k / ((d-a-c)_k (d)_k) times 3F2(-k, a, c; k+d, d-c; 1).
+    The prefactor goes through exact_first, as the terminating 3F2 does."""
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     a, c, d = scalar(a), scalar(c), scalar(d)
-    den = pochhammer(d - a - c, k) * pochhammer(d, k)
-    if den.is_zero():
-        raise PoleError("vanishing Pochhammer in the prefactor denominator")
-    prefactor = pochhammer(d - a, k) * pochhammer(d - c, k) / den
+
+    def prefactor(a, c, d):
+        den = pochhammer(d - a - c, k) * pochhammer(d, k)
+        if den.is_zero():
+            raise PoleError("vanishing Pochhammer in the prefactor denominator")
+        return SphereValue.of(pochhammer(d - a, k) * pochhammer(d - c, k) / den)
+
+    pref = exact_first(prefactor, (a, c, d), ctx)
     inner = eval_at_1(HypParams((Scalar.exact(-k), a, c), (d + k, d - c)), ctx)
     return EvalResult(
-        value=SphereValue.of(prefactor) * inner.value,
+        value=pref * inner.value,
         terms_used=inner.terms_used,
         tail_bound=inner.tail_bound,
         classification=inner.classification,

@@ -38,6 +38,7 @@ from .numeric_core import (
     Scalar,
     SphereValue,
     UnsupportedExactError,
+    scalar,
 )
 from .hyper_series import EvalResult, HypParams, eval_at_1
 from .classical_identities import askey_ismail_lhs, askey_ismail_rhs
@@ -369,11 +370,7 @@ def _point_expectation(pt: dict, verdict: Verdict) -> bool:
     if verdict is Verdict.POLE_SKIPPED:
         return True
     alpha = -pt["k"] if "k" in pt else pt["alpha"]
-    terminating = isinstance(alpha, int) and alpha <= 0
-    if isinstance(alpha, Fraction) and alpha.denominator == 1 and alpha <= 0:
-        terminating = True
-    z = pt.get("z", 0)
-    if terminating or z == 0:
+    if scalar(alpha).is_nonpositive_integer() or pt.get("z", 0) == 0:
         return verdict in (Verdict.EXACT_MATCH, Verdict.WITHIN_TOLERANCE)
     return verdict is Verdict.MISMATCH
 

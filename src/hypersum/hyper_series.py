@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple, Union
 
 from mpmath import mp
 
@@ -96,10 +96,14 @@ class HypParams:
     some numerator parameter is a nonpositive integer -k with k <= d: the
     series then truncates before the vanishing denominator factor is ever
     used.  Anything else leaves 0 in a denominator and is rejected.
+
+    ``truncation`` is (k, tolerance_dependent) for the smallest such k, None
+    for a nonterminating series; the flag marks a float-tolerance match.
     """
 
     numerator: tuple
     denominator: tuple
+    truncation: Optional[Tuple[int, bool]] = field(init=False, default=None)
 
     def __post_init__(self):
         nums = tuple(scalar(x) for x in self.numerator)
@@ -111,16 +115,17 @@ class HypParams:
             dens = tuple(x.to_float_scalar(p) if x.is_float else x for x in dens)
         object.__setattr__(self, "numerator", nums)
         object.__setattr__(self, "denominator", dens)
-        ks = [-a.nearest_integer()[0] for a in nums if a.is_nonpositive_integer()]
-        kmin = min(ks) if ks else None
+        hits = [a.nearest_integer() for a in nums if a.is_nonpositive_integer()]
+        kmin = min(-n for n, _ in hits) if hits else None
         for b in dens:
-            if b.is_nonpositive_integer():
-                d = -b.nearest_integer()[0]
-                if kmin is None or kmin > d:
-                    raise InvalidParametersError(
-                        f"denominator parameter {b} is a nonpositive integer and no "
-                        "numerator parameter truncates the series before the zero factor"
-                    )
+            if b.is_nonpositive_integer() and (kmin is None or kmin > -b.nearest_integer()[0]):
+                raise InvalidParametersError(
+                    f"denominator parameter {b} is a nonpositive integer and no "
+                    "numerator parameter truncates the series before the zero factor"
+                )
+        if hits:
+            object.__setattr__(self, "truncation",
+                               (kmin, not all(exact for _, exact in hits)))
 
     @property
     def p(self) -> int:
@@ -146,28 +151,13 @@ def _balance(params: HypParams) -> Scalar:
     return acc
 
 
-def _real_part_positive(x: Scalar) -> bool:
-    if x.is_rational:
-        return x.fraction > 0
-    if x.is_exact:
-        return x.to_mpc(113).real > 0
-    return x.to_mpc(x.prec).real > 0
-
-
 def classify(params: HypParams, ctx: Optional[EvalContext] = None) -> SeriesClassification:
     """Termination first (smallest truncation index wins), then the unit-
     argument convergence test for p = q+1; p <= q always converges and
     p > q+1 never does.  The saalschutzian flag tests balance == 1, exactly
     in exact mode and within abs_tol for float parameters."""
     ctx = ctx or DEFAULT_CONTEXT
-    tol_dep = False
-    ks = []
-    for a in params.numerator:
-        hit = a.nearest_integer()
-        if hit is not None and hit[0] <= 0:
-            ks.append(-hit[0])
-            tol_dep = tol_dep or not hit[1]
-
+    k, tol_dep = params.truncation or (None, False)
     bal = _balance(params)
     if bal.is_exact:
         saal = bal == Scalar.exact(1)
@@ -175,11 +165,11 @@ def classify(params: HypParams, ctx: Optional[EvalContext] = None) -> SeriesClas
         saal = abs((bal - 1).to_mpc(bal.prec)) <= ctx.abs_tol
         tol_dep = tol_dep or saal
 
-    if ks:
-        return SeriesClassification(SeriesKind.TERMINATING, k=min(ks),
+    if k is not None:
+        return SeriesClassification(SeriesKind.TERMINATING, k=k,
                                     saalschutzian=saal, tolerance_dependent=tol_dep)
     if params.p == params.q + 1:
-        kind = SeriesKind.CONVERGENT if _real_part_positive(bal) else SeriesKind.DIVERGENT
+        kind = SeriesKind.CONVERGENT if bal.real_part() > 0 else SeriesKind.DIVERGENT
     elif params.p > params.q + 1:
         kind = SeriesKind.DIVERGENT
     else:

@@ -21,6 +21,7 @@ ratio reduces to a Pochhammer symbol and is computed exactly.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,16 +127,25 @@ class Mode(enum.Enum):
     FLOAT = "float"
 
 
-def _near_int(re_val, im_val, tol: float = INTEGER_DETECTION_TOL):
-    """Return (n, exact_hit) if re+im*i is within tol of the integer n."""
-    if abs(im_val) > tol:
+def _near_int(re_val, im_val):
+    """Return (n, exact_hit) if re+im*i is within INTEGER_DETECTION_TOL of n."""
+    if abs(im_val) > INTEGER_DETECTION_TOL:
         return None
     n = int(mpmath.nint(re_val))
-    if abs(re_val - n) > tol:
+    if abs(re_val - n) > INTEGER_DETECTION_TOL:
         return None
     return n, (re_val == n and im_val == 0)
 
 
+def _near_nonpositive_int(x) -> bool:
+    """Whether the mpmath number x is a gamma pole under _near_int's rule."""
+    if x.real > INTEGER_DETECTION_TOL:  # no nonpositive integer within tol
+        return False
+    hit = _near_int(x.real, x.imag)
+    return hit is not None and hit[0] <= 0
+
+
+@functools.total_ordering
 class Scalar:
     """A number in one of two modes: exact (rational * sqrt(pi)^k) or float
     (complex at a fixed binary precision).
@@ -220,24 +230,33 @@ class Scalar:
     def is_zero(self) -> bool:
         return self._coef == 0 if self.is_exact else self._val == 0
 
-    def nearest_integer(self, tol: float = INTEGER_DETECTION_TOL):
+    def nearest_integer(self):
         """Return (n, exact_hit) when this value is (near-)integral, else None.
 
-        Exact mode uses true equality; float mode uses ``tol`` and reports
-        exact_hit=False when the match relied on it.
+        Exact mode uses true equality; float mode uses INTEGER_DETECTION_TOL
+        and reports exact_hit=False when the match relied on it.
         """
         if self.is_exact:
             if self.is_rational and self._coef.denominator == 1:
                 return int(self._coef), True
             return None
-        return _near_int(self._val.real, self._val.imag, tol)
+        return _near_int(self._val.real, self._val.imag)
 
-    def is_integer(self, tol: float = INTEGER_DETECTION_TOL) -> bool:
-        return self.nearest_integer(tol) is not None
+    def is_integer(self) -> bool:
+        return self.nearest_integer() is not None
 
-    def is_nonpositive_integer(self, tol: float = INTEGER_DETECTION_TOL) -> bool:
-        hit = self.nearest_integer(tol)
-        return hit is not None and hit[0] <= 0
+    def is_nonpositive_integer(self) -> bool:
+        """Whether this value is a gamma pole, under nearest_integer's rule."""
+        if self.is_exact:
+            return self.is_rational and self._coef.denominator == 1 and self._coef <= 0
+        return _near_nonpositive_int(self._val)
+
+    def real_part(self) -> "Scalar":
+        """The real part, ordered like any Scalar; exact values are real."""
+        if self.is_exact:
+            return self
+        with working_precision(self.prec):
+            return Scalar(val=mp.mpc(self._val.real), prec=self.prec)
 
     # -- conversion ----------------------------------------------------------
 
@@ -265,11 +284,10 @@ class Scalar:
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar(coef=Fraction(other))
-        if isinstance(other, str):
-            return Scalar(coef=Fraction(other))
-        if isinstance(other, (float, complex, mpmath.mpf, mpmath.mpc)):
-            return Scalar.from_float(other, self.prec or MIN_PRECISION)
-        return NotImplemented
+        try:
+            return scalar(other, self.prec)
+        except TypeError:
+            return NotImplemented
 
     def _pair(self, other):
         """Resolve operand modes: (EXACT, a, b) on Fractions+powers or (FLOAT, a, b, prec)."""
@@ -388,48 +406,23 @@ class Scalar:
         kind, a, b, prec = self._pair(other)
         return a == b
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
-    def _cmp_key(self, other):
+    def __lt__(self, other):
+        # operands meet as in __eq__ (through _pair), so that the operators
+        # total_ordering derives from the two agree with each other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_rational and other.is_rational:
-            return self._coef, other._coef
-        prec = max(self.prec or 0, other.prec or 0, 113)
-        a, b = self.to_mpc(prec), other.to_mpc(prec)
+            return self._coef < other._coef
+        if self.is_exact and other.is_exact:
+            a, b = self.to_mpc(113), other.to_mpc(113)
+        else:
+            _, a, b, _ = self._pair(other)
         if a.imag != 0 or b.imag != 0:
             raise TypeError("ordering is only defined for real values")
-        return a.real, b.real
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a >= b
+        return a.real < b.real
 
     # -- formatting ----------------------------------------------------------
 
@@ -567,15 +560,6 @@ class EvalContext:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
 
-    def float_scalar(self, x) -> Scalar:
-        if isinstance(x, Scalar):
-            if x.is_float and x.prec == self.precision:
-                return x
-            return x.to_float_scalar(self.precision)
-        if isinstance(x, (int, str, Fraction)):
-            return Scalar.from_float(Fraction(x), self.precision)
-        return Scalar.from_float(x, self.precision)
-
 
 DEFAULT_CONTEXT = EvalContext()
 
@@ -670,9 +654,8 @@ def gamma(x: Scalar) -> SphereValue:
         raise UnsupportedExactError(
             f"gamma({f}) has no exact representation here; use gamma_ratio"
         )
-    hit = x.nearest_integer()
-    if hit is not None and hit[0] <= 0:
-        return SphereValue.infinity(tolerance_dependent=not hit[1])
+    if x.is_nonpositive_integer():
+        return SphereValue.infinity(tolerance_dependent=not x.nearest_integer()[1])
     with working_precision(x.prec):
         return SphereValue.of(Scalar(val=mp.gamma(x._val), prec=x.prec))
 

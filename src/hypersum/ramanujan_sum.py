@@ -33,14 +33,13 @@ from .numeric_core import (
     DivergentSeriesError,
     ConvergenceError,
     EvalContext,
-    INTEGER_DETECTION_TOL,
     IdentityAssertionError,
     InvalidParametersError,
     PoleError,
     Scalar,
     SphereValue,
     UnsupportedExactError,
-    _near_int,
+    _near_nonpositive_int,
     exact_first,
     gamma_ratio,
     pochhammer,
@@ -84,9 +83,8 @@ class RamanujanParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "m", "z"):
             object.__setattr__(self, name, scalar(getattr(self, name)))
-        hit = self.alpha.nearest_integer()
-        if hit is not None and hit[0] <= 0:
-            object.__setattr__(self, "terminating_k", -hit[0])
+        if self.alpha.is_nonpositive_integer():
+            object.__setattr__(self, "terminating_k", -self.alpha.nearest_integer()[0])
 
     def all_exact(self) -> bool:
         return all(x.is_exact for x in (self.alpha, self.beta, self.m, self.z))
@@ -185,10 +183,10 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     C sum_k e_k zeta(2+k, N), with C the powers of sigma over Gamma(alpha)
     and e_k from _gamma_ratio_expansion.  Tail terms are added until one falls
     below 2^-(P+30) of |S|, abs_tol standing in for |S| near 0; a tail not
-    settled by depth 0.6 (P+30) raises ConvergenceError.  N grows with P
-    and with 1/|z|, so that the expansion converges fast from N on; for
-    real z every gamma argument past N has a positive real part, so no
-    pole lies in the tail.  Re z <= 0 is refused: the expansion does not
+    settled by depth 0.6 (P+30) raises ConvergenceError, as does N above
+    max_terms, before any term is summed.  N grows with P and with 1/|z|,
+    so that the expansion converges fast from N on; for real z every gamma
+    argument past N has a positive real part, so no pole lies in the tail.  Re z <= 0 is refused: the expansion does not
     hold there, and the direct terms run first so that a pole or the
     divergence guard names where the series breaks down.
 
@@ -210,12 +208,17 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         reach = max(abs(x) for _, b, c in pairs for x in (b, c))
         n_direct = max(16, int(mp.ceil((0.4 * prec_work + reach)
                                        / min(abs(fz), 1))))
+        if n_direct > ctx.max_terms:
+            raise ConvergenceError(
+                f"direct series needs {n_direct} terms before its tail, "
+                f"more than max_terms = {ctx.max_terms}",
+                partial=Scalar(val=mp.mpc(0), prec=prec_work))
         acc = number(0)
         poch_a = one
         fact = mp.mpf(1)
         grow_streak = 0
         prev_mag = None
-        for j in range(min(n_direct, ctx.max_terms)):
+        for j in range(n_direct):
             if j > 0:
                 poch_a = poch_a * (fa + (j - 1))
                 fact = fact * j
@@ -238,12 +241,6 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 "the direct series has no asymptotic tail for Re z <= 0; "
                 "treating as divergent",
                 SeriesClassification(SeriesKind.DIVERGENT))
-        if n_direct > ctx.max_terms:
-            raise ConvergenceError(
-                f"direct series needs {n_direct} terms before its tail, "
-                f"more than max_terms = {ctx.max_terms}",
-                partial=Scalar(val=mp.mpc(fm * acc), prec=prec_work),
-                terms_used=ctx.max_terms)
         scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
             * mp.rgamma(fa)
         total = acc
@@ -288,14 +285,6 @@ def _gamma_term_float(fa, fb, fm, fz, j):
             return None
     return (mp.gamma(args_num[0]) * mp.gamma(args_num[1])
             / (mp.gamma(args_den[0]) * mp.gamma(args_den[1])))
-
-
-def _near_nonpositive_int(x) -> bool:
-    # a nonpositive integer within tol of x needs Re(x) <= tol
-    if x.real > INTEGER_DETECTION_TOL:
-        return False
-    hit = _near_int(x.real, x.imag)
-    return hit is not None and hit[0] <= 0
 
 
 def _gamma_ratio_expansion(pairs):
@@ -532,35 +521,37 @@ def eq6_prefactor(alpha, beta, m,
     The reflection Gamma(x) Gamma(1-x) = pi / sin(pi x) converts one form
     into the other; the sine quotient it leaves behind is exactly 1
     because alpha shifts the arguments by integers.  Both forms are
-    computed (each as two integer-difference gamma ratios) and compared,
-    exactly in exact mode and within rel_tol in float mode; disagreement
-    raises IdentityAssertionError rather than returning silently.
+    computed (each as two integer-difference gamma ratios) and compared
+    through exact_first: exactly for real input (a float as the exact
+    rational it is, the result rounded once to ctx.precision), within
+    rel_tol for complex input; disagreement raises IdentityAssertionError
+    rather than returning silently.
     """
     ctx = ctx or DEFAULT_CONTEXT
-    a, b, mm = scalar(alpha), scalar(beta), scalar(m)
-    if not (a.is_exact and b.is_exact and mm.is_exact):
-        a, b, mm = (ctx.float_scalar(x) for x in (a, b, mm))
-    hit = a.nearest_integer()
-    if hit is None:
+    if not scalar(alpha).is_integer():
         raise InvalidParametersError(
             "the reflected prefactor requires integer alpha (the sine factors "
             "only cancel there)")
-    reflected = gamma_ratio(mm - b, mm - a - b) * gamma_ratio(-(a + b), -b)
-    direct = gamma_ratio(b + 1, a + b + 1) * gamma_ratio(a + b + 1 - mm, b + 1 - mm)
-    if reflected.is_infinity or direct.is_infinity:
-        if reflected.is_infinity != direct.is_infinity:
+
+    def cross_checked(a, b, mm):
+        reflected = gamma_ratio(mm - b, mm - a - b) * gamma_ratio(-(a + b), -b)
+        direct = gamma_ratio(b + 1, a + b + 1) * gamma_ratio(a + b + 1 - mm, b + 1 - mm)
+        if reflected.is_infinity or direct.is_infinity:
+            if reflected.is_infinity != direct.is_infinity:
+                raise IdentityAssertionError(
+                    f"reflected prefactor {reflected} disagrees with direct form {direct}")
+            return reflected
+        lhs, rhs = reflected.finite, direct.finite
+        if lhs.is_exact and rhs.is_exact:
+            agree = lhs == rhs
+        else:
+            lv = lhs.to_mpc(ctx.precision)
+            rv = rhs.to_mpc(ctx.precision)
+            scale = max(abs(lv), abs(rv))
+            agree = scale == 0 or abs(lv - rv) <= ctx.rel_tol * scale
+        if not agree:
             raise IdentityAssertionError(
-                f"reflected prefactor {reflected} disagrees with direct form {direct}")
+                f"reflected prefactor {lhs} disagrees with direct form {rhs}")
         return reflected
-    lhs, rhs = reflected.finite, direct.finite
-    if lhs.is_exact and rhs.is_exact:
-        agree = lhs == rhs
-    else:
-        lv = lhs.to_mpc(ctx.precision)
-        rv = rhs.to_mpc(ctx.precision)
-        scale = max(abs(lv), abs(rv))
-        agree = scale == 0 or abs(lv - rv) <= ctx.rel_tol * scale
-    if not agree:
-        raise IdentityAssertionError(
-            f"reflected prefactor {lhs} disagrees with direct form {rhs}")
-    return reflected
+
+    return exact_first(cross_checked, (alpha, beta, m), ctx)

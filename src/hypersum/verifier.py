@@ -56,6 +56,9 @@ __all__ = [
 # tolerance actually used.
 DEFAULT_REL_TOL = 1e-9
 
+# relative agreement required of counterexample_eq9's three routes to S(1)
+ROUTE_TOL = 1e-8
+
 
 @unique
 class Verdict(Enum):
@@ -151,15 +154,14 @@ def verify_theorem(k: int, beta, m, z,
 
 def counterexample_eq9(alpha, beta,
                        ctx: Optional[EvalContext] = None,
-                       rel_tol: float = DEFAULT_REL_TOL,
-                       route_tol: float = 1e-8) -> IdentityReport:
+                       rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """S(1) with m = alpha+beta+1, where the closed form breaks down.
 
     S(1) is computed three independent ways: the recast 4F3 route, the
     2F1 reduction Gamma(beta+1)/Gamma(m) * 2F1(beta+1, alpha; m+1; 1) that
     the constraint m = alpha+beta+1 produces, and the fully reduced
     expression m/((m-alpha)*Gamma(alpha+1)).  The three must agree within
-    route_tol (else IdentityAssertionError); the report then compares S(1)
+    ROUTE_TOL (else IdentityAssertionError); the report then compares S(1)
     against the closed form, which is 0 here, so the expected verdict is
     Mismatch for non-integer alpha.  Nonpositive integer alpha makes both
     sides vanish and the verdict is a match instead.
@@ -184,9 +186,9 @@ def counterexample_eq9(alpha, beta,
         vals = [v.finite.to_mpc(ctx.precision) for v in routes]
         span = max(abs(x - y) for x in vals for y in vals)
         scale = max(abs(x) for x in vals)
-        if span > max(route_tol * scale, ctx.abs_tol):
+        if span > max(ROUTE_TOL * scale, ctx.abs_tol):
             raise IdentityAssertionError(
-                f"S(1) routes disagree beyond {route_tol} relative: {vals}")
+                f"S(1) routes disagree beyond {ROUTE_TOL} relative: {vals}")
 
     closed = s_closed_form(p, ctx)
     context = {
@@ -194,7 +196,7 @@ def counterexample_eq9(alpha, beta,
         "route_4f3": _value_str(route_a, ctx),
         "route_2f1": _value_str(route_b, ctx),
         "route_reduced": _value_str(route_c, ctx),
-        "route_tol": route_tol,
+        "route_tol": ROUTE_TOL,
     }
     return compare(route_a, closed, ctx, rel_tol, context)
 

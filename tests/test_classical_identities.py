@@ -162,6 +162,10 @@ class TestAskeyIsmail:
         assert askey_ismail_validity(1, 3)
         assert not askey_ismail_validity(3, 1)
         assert not askey_ismail_validity(-1, 3)
+        # mixed rational and float input compares through Scalar
+        assert askey_ismail_validity(Fraction(1, 2), 2.5)
+        assert askey_ismail_validity(0.5, Fraction(5, 2))
+        assert not askey_ismail_validity(Fraction(5, 2), 0.5)
 
     def test_prefactor_pole_raises(self):
         # d - a - c = -1 makes (d-a-c)_2 vanish

@@ -82,6 +82,17 @@ class TestEval:
         assert rec["timing_s"] > 0
         jsonschema.validate(rec, OUTPUT_SCHEMA)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ramanujan", "--alpha=1/2", "--beta=1/3", "--m=1/5", "--z=-1/2"],
+         "no asymptotic tail"),
+        (["pfq", "--den=1/2", "--max-terms=3"], "within 3 terms"),
+    ])
+    def test_refusal_exits_2(self, capsys, argv, message):
+        code, rec = run(capsys, ["eval", *argv])
+        assert code == 2
+        assert message in rec["error"]
+        jsonschema.validate(rec, OUTPUT_SCHEMA)
+
     def test_pole_exits_3(self, capsys):
         code, rec = run(capsys, ["eval", "ramanujan", "--alpha=0.7",
                                  "--beta=-3.5", "--m=0.3", "--z=0.5",
@@ -180,6 +191,14 @@ class TestVerify:
         assert rec["verdict"] == "ExactMatch"
         assert rec["report"]["lhs"]["exact"] == "7/6"
 
+    def test_askey_ismail_float_mode(self, capsys):
+        # both sides come back at the working precision, so they multiply
+        # and compare without a precision mix
+        code, rec = run(capsys, ["verify", "askey-ismail", "--mode=float",
+                                 "--num=0.5,1", "--den=2.5", "--k=1"])
+        assert code == 0
+        assert rec["verdict"] == "WithinTolerance"
+
     def test_counterexample_expected_mismatch(self, capsys):
         code, rec = run(capsys, ["verify", "counterexample", "--alpha=1/2",
                                  "--beta=1/2"])
@@ -244,6 +263,25 @@ class TestSweep:
         code, rec = run(capsys, ["sweep", "--grid", grid, "--out", out])
         assert code == 0
         assert rec["summary"]["Mismatch"] == 1
+
+    def test_float_mode_integer_alpha_terminates(self, capsys, tmp_path):
+        # "-2" parses as the float -2.0, which still makes S terminate
+        grid = self.write_grid(tmp_path, {
+            "points": [{"alpha": "-2", "beta": "0.5", "m": "0.25", "z": "1"}]})
+        code, rec = run(capsys, ["sweep", "--grid", grid, "--out",
+                                 str(tmp_path / "out.csv"), "--mode=float"])
+        assert code == 0
+        assert rec["summary"]["WithinTolerance"] == 1
+        assert rec["summary"]["unexpected"] == 0
+
+    def test_sqrtpi_multiple_cell(self, capsys, tmp_path):
+        # the closed form Gamma(1)/Gamma(3/2) is exactly 2/sqrt(pi)
+        grid = self.write_grid(tmp_path, {
+            "points": [{"alpha": "1/2", "beta": "1/2", "m": "1/2", "z": 0}]})
+        out = tmp_path / "out.csv"
+        code, rec = run(capsys, ["sweep", "--grid", grid, "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[1].split(",")[6] == "2*sqrtpi^-1"
 
     def test_empty_grid(self, capsys, tmp_path):
         grid = self.write_grid(tmp_path, {"points": []})

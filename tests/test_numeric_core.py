@@ -90,6 +90,11 @@ class TestScalar:
         b = Scalar.from_float(2.5, 256)
         with pytest.raises(PrecisionMixError):
             a + b
+        # ordering follows the same rule in both directions
+        with pytest.raises(PrecisionMixError):
+            a < b
+        with pytest.raises(PrecisionMixError):
+            b > a
 
     def test_nearest_integer(self):
         assert Scalar.exact(4).nearest_integer() == (4, True)
@@ -100,10 +105,25 @@ class TestScalar:
         assert n == 3 and not exact_hit
         assert Scalar.from_float(3.1, 113).nearest_integer() is None
         assert Scalar.from_float(3 + 1e-6j, 113).nearest_integer() is None
+        assert Scalar.exact(-2).is_nonpositive_integer()
+        assert not Scalar.exact(-1, 2).is_nonpositive_integer()
+        assert not Scalar.exact_sqrtpi(-2).is_nonpositive_integer()
+        assert Scalar.from_float(-2.0 + 1e-13, 113).is_nonpositive_integer()
+        assert Scalar.from_float(1e-13, 113).is_nonpositive_integer()
+        assert not Scalar.from_float(3.0, 113).is_nonpositive_integer()
+        assert not Scalar.from_float(-2 + 1e-6j, 113).is_nonpositive_integer()
 
     def test_ordering(self):
         assert Scalar.exact(1, 3) < Scalar.exact(1, 2)
         assert Scalar.from_float(0.5, 113) > Scalar.exact(1, 3)
+        assert Scalar.exact(1, 2) <= 0.5 and Scalar.exact(1, 2) >= "1/2"
+        assert not Scalar.exact(1, 2) > 0.5
+        # an exact operand is compared at the float's precision, as == does
+        third = Scalar.from_float(1 / 3, 53)
+        assert Scalar.exact(1, 3) == third and Scalar.exact(1, 3) <= third
+        assert not Scalar.exact(1, 3) > third
+        assert Scalar.from_float(2.5 + 1j, 113).real_part() > Scalar.exact(5, 2) - 1
+        assert Scalar.exact_sqrtpi(1).real_part() >= Scalar.exact(7, 4)
         with pytest.raises(TypeError):
             Scalar.from_float(1j, 113) < Scalar.exact(1)
 

@@ -20,6 +20,7 @@ from hypersum.numeric_core import (
     UnsupportedExactError,
     pochhammer,
 )
+from hypersum import ramanujan_sum
 from hypersum.hyper_series import SeriesKind, classify, eval_at_1
 from hypersum.ramanujan_sum import (
     PolynomialInZ,
@@ -534,9 +535,17 @@ class TestExperimental:
         assert res.experimental
         assert res.value.finite is not None
 
-    def test_budget_exhaustion(self):
-        ctx = EvalContext(precision=64, max_terms=32, rel_tol=1e-12,
-                          abs_tol=1e-30)
-        with pytest.raises(ConvergenceError) as exc:
-            s_direct(RamanujanParams(0.5, 1.0, 0.5, 0.5), ctx)
-        assert exc.value.partial is not None
+    def test_budget_exhaustion(self, monkeypatch):
+        # N direct terms above max_terms are refused before any is summed
+        calls = []
+        term = ramanujan_sum._gamma_term_float
+        monkeypatch.setattr(ramanujan_sum, "_gamma_term_float",
+                            lambda *args: calls.append(args) or term(*args))
+        for params, ctx in (
+                ((0.5, 1.0, 0.5, 0.5), EvalContext(precision=64, max_terms=32)),
+                ((F(1, 2), F(1, 3), F(1, 5), F(1, 1000)),
+                 EvalContext(precision=53, max_terms=30000))):
+            with pytest.raises(ConvergenceError) as exc:
+                s_direct(RamanujanParams(*params), ctx)
+            assert exc.value.partial is not None
+        assert len(calls) == 0
