@@ -18,17 +18,22 @@ Summation strategy by case:
   system and do not depend on N, so the cutoff can be doubled cheaply until
   two truncation depths of the correction agree.  r and every column of
   the system are products of linear factors (1 + c/N)^{+-1}, each applied
-  as a first-order recurrence, so the build costs O(depth^2).
+  as a first-order recurrence, so the build costs O(depth^2).  With real
+  rational parameters (real floats as dyadic rationals) this case runs on
+  integers over their common denominator D, scaled by 2^W with
+  W = precision + 40; complex parameters and sqrt(pi) multiples run in mpc.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .numeric_core import (
     DEFAULT_CONTEXT,
@@ -40,6 +45,7 @@ from .numeric_core import (
     PoleError,
     Scalar,
     SphereValue,
+    _dyadic,
     exact_first,
     pochhammer,
     scalar,
@@ -80,8 +86,7 @@ class EvalResult:
     # sum rounded to float reads 0.0 (real input was summed exactly, so its
     # one error is the final rounding); other floats are the estimated tail.
     # On the balanced route that estimate is the difference between two
-    # truncation depths, not a bound: it can read 0.0, or far below the
-    # true error.
+    # truncation depths, not a bound: it can read far below the true error.
     tail_bound: Union[int, float]
     classification: SeriesClassification
     experimental: bool = False
@@ -169,7 +174,9 @@ def classify(params: HypParams, ctx: Optional[EvalContext] = None) -> SeriesClas
         return SeriesClassification(SeriesKind.TERMINATING, k=k,
                                     saalschutzian=saal, tolerance_dependent=tol_dep)
     if params.p == params.q + 1:
-        kind = SeriesKind.CONVERGENT if bal.real_part() > 0 else SeriesKind.DIVERGENT
+        # one __lt__ call: the derived > would compare twice
+        converges = Scalar.exact(0) < bal.real_part()
+        kind = SeriesKind.CONVERGENT if converges else SeriesKind.DIVERGENT
     elif params.p > params.q + 1:
         kind = SeriesKind.DIVERGENT
     else:
@@ -260,25 +267,26 @@ def _sum_geometric(params: HypParams, cls: SeriesClassification,
         partial=partial, terms_used=ctx.max_terms)
 
 
-def _ratio_series(a_vals, b_vals, length):
-    """Coefficients of r(x) = prod(1 + a_i x) / [prod(1 + b_j x) (1 + x)]
-    where x = 1/N; valid for the balanced case p = q+1.
+def _ratio_series(a_vals, b_vals, length, mul=operator.mul, one=1):
+    """Coefficients of prod(1 + a_i x) / prod(1 + b_j x) to ``length`` terms:
+    the term ratio r(x), x = 1/N, when b_vals ends in 1.  The fixed-point
+    route passes values scaled by ``one`` = 2^W and the matching ``mul``.
 
     Each linear factor is one first-order recurrence on the truncated
     series: multiplying by (1 + c x) is r[t] += c r[t-1] with t descending,
     dividing by it is r[t] -= c r[t-1] with t ascending.
     """
-    r = [mp.mpc(1)] + [mp.mpc(0)] * (length - 1)
+    r = [one] + [0] * (length - 1)
     for a in a_vals:
         for t in range(length - 1, 0, -1):
-            r[t] += a * r[t - 1]
-    for b in list(b_vals) + [mp.mpc(1)]:
+            r[t] += mul(a, r[t - 1])
+    for b in b_vals:
         for t in range(1, length):
-            r[t] -= b * r[t - 1]
+            r[t] -= mul(b, r[t - 1])
     return r
 
 
-def _tail_coefficients(r, depth):
+def _tail_coefficients(r, depth, div=operator.truediv, one=1):
     """Solve for u(N) ~ c_{-1} N + c_0 + c_1/N + ... from u = 1 + r u(N+1).
 
     Substituting the ansatz and collecting powers of x = 1/N gives a lower
@@ -286,7 +294,8 @@ def _tail_coefficients(r, depth):
     s = sum(den) - sum(num) (the convergence abscissa), and each higher
     order determines one further coefficient.  Column k of the system needs
     r(x) (1+x)^{-k}; one running copy is divided by (1 + x) per column, so
-    the whole build costs O(depth^2).
+    the whole build costs O(depth^2).  The fixed-point route passes r scaled
+    by ``one`` = 2^W and floor division as ``div``.
     """
     em1 = [-(r[t + 1] + r[t]) for t in range(depth + 1)]
     es = []
@@ -295,17 +304,17 @@ def _tail_coefficients(r, depth):
         if k:
             for t in range(1, depth + 1):
                 rk[t] -= rk[t - 1]
-        ek = [mp.mpc(0)] * (depth + 1)
+        ek = [0] * (depth + 1)
         for t in range(k, depth + 1):
-            ek[t] = (1 if t == k else 0) - rk[t - k]
+            ek[t] = (one if t == k else 0) - rk[t - k]
         es.append(ek)
-    cm1 = 1 / em1[0]
+    cm1 = div(one * one, em1[0])
     cs = []
     for t in range(1, depth + 1):
         s = cm1 * em1[t]
         for k in range(t - 1):
             s += cs[k] * es[k][t]
-        cs.append(-s / es[t - 1][t])
+        cs.append(div(-s, es[t - 1][t]))
     return cm1, cs
 
 
@@ -319,51 +328,102 @@ def _tail_u(n, cm1, cs):
     return u
 
 
+def _tail_u_fixed(n, cm1, cs):
+    u, scale = cm1 * n, 1
+    for c in cs:
+        u += c // scale
+        scale *= n
+    return u
+
+
+def _balanced_mpc(vals, p: int, n: int, depth: int):
+    """Yields (N, sum plus tail, |t_N (u_hi - u_lo)|) for the mpc parameters
+    ``vals`` (numerators first, p of them) from N = n on, N doubling."""
+    a_vals, b_vals = vals[:p], vals[p:]
+    r = _ratio_series(a_vals, b_vals + [mp.mpc(1)], depth + 2)
+    cm1, cs = _tail_coefficients(r, depth)
+    acc, t, done = mp.mpc(0), mp.mpc(1), 0
+    while True:
+        for j in range(done, n):
+            acc = acc + t
+            t = t * _ratio_factors(a_vals, b_vals, j)
+        done = n
+        u_hi = _tail_u(n, cm1, cs)
+        u_lo = _tail_u(n, cm1, cs[:-4])
+        yield n, acc + t * u_hi, abs(t * (u_hi - u_lo))
+        n *= 2
+
+
+def _balanced_fixed(fracs, p: int, n: int, depth: int):
+    """What _balanced_mpc yields, as exact mpf, for rationals ``fracs`` = A/D:
+    values are integers scaled by 2^w, w the working precision, and a term
+    step is t * prod(A_i + jD) // (D (j+1) prod(B_k + jD)).  The tail build
+    takes each parameter rounded to a multiple of 2^-w, so that its integers
+    stay near w bits however large D is."""
+    w, one = mp.prec, 1 << mp.prec
+    d = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (d // f.denominator) for f in fracs]
+    nums, dens = ints[:p], ints[p:]
+    fixed = [(x << w) // d for x in ints]
+    r = _ratio_series(fixed[:p], fixed[p:] + [one], depth + 2,
+                      lambda x, y: x * y >> w, one)
+    cm1, cs = _tail_coefficients(r, depth, operator.floordiv, one)
+    acc, t, done = 0, one, 0
+    while True:
+        for j in range(done, n):
+            acc += t
+            num, den, jd = 1, d * (j + 1), j * d
+            for a in nums:
+                num *= a + jd
+            for b in dens:
+                den *= b + jd
+            t = t * num // den
+        done = n
+        u_hi = _tail_u_fixed(n, cm1, cs)
+        u_lo = _tail_u_fixed(n, cm1, cs[:-4])
+        yield (n, mp.make_mpf(from_man_exp((acc << w) + t * u_hi, -2 * w)),
+               mp.make_mpf(from_man_exp(abs(t * (u_hi - u_lo)), -2 * w)))
+        n *= 2
+
+
 def _sum_balanced(params: HypParams, cls: SeriesClassification,
                   ctx: EvalContext) -> EvalResult:
     """p = q+1 at unit argument: partial sum to N plus the asymptotic tail
     correction t_N u(N), doubling N until two truncation depths agree.
+    Real rational parameters (real floats as their dyadic rationals) are
+    summed in integers over D scaled by 2^W, W = ctx.precision + 40, and
+    others in mpc at W bits; only the stop test and the rounding use mpf.
 
     tail_bound is |t_N (u_hi - u_lo)|, where u_lo drops the last four of the
-    18 expansion coefficients that u_hi uses.  It estimates the truncation
-    error and bounds nothing: it reads 0.0 for 2F1(1, 4/7; 291/56; 1) at 53
-    bits, and 3.8e-26 against a true error of 1.15e-16 for
-    2F1(5/3, 3; 58/9; 1).
+    18 expansion coefficients that u_hi uses, floored at 2^-W |sum|, the
+    working precision's own resolution.  It estimates the truncation error
+    and bounds nothing: it reads 3.8e-26 against a true error of 1.15e-16
+    for 2F1(5/3, 3; 58/9; 1) at 53 bits.
     """
     depth = 18
     prec_work = ctx.precision + 40
+    exact = [_dyadic(x) for x in params.numerator + params.denominator]
     with working_precision(prec_work):
-        a_vals = [x.to_mpc(prec_work) for x in params.numerator]
-        b_vals = [x.to_mpc(prec_work) for x in params.denominator]
-        r = _ratio_series(a_vals, b_vals, depth + 2)
-        cm1, cs = _tail_coefficients(r, depth)
-        maxmod = max([abs(v) for v in a_vals + b_vals] + [mp.mpf(1)])
-        n = min(max(64, int(4 * maxmod) + 16), ctx.max_terms)
-        acc = mp.mpc(0)
-        t = mp.mpc(1)
-        j = 0
-        while True:
-            while j < n:
-                acc = acc + t
-                t = t * _ratio_factors(a_vals, b_vals, j)
-                j += 1
-            u_hi = _tail_u(n, cm1, cs)
-            u_lo = _tail_u(n, cm1, cs[:-4])
-            total = acc + t * u_hi
-            err = abs(t * (u_hi - u_lo))
+        if all(x is not None and x.is_rational for x in exact):
+            vals, balanced = [x.fraction for x in exact], _balanced_fixed
+        else:
+            vals = [x.to_mpc(prec_work) for x in params.numerator + params.denominator]
+            balanced = _balanced_mpc
+        # the first N, past where the largest parameter still shapes the terms
+        n = min(max(64, int(4 * max([abs(v) for v in vals] + [1])) + 16), ctx.max_terms)
+        for n, total, err in balanced(vals, params.p, n, depth):
             if err <= max(ctx.rel_tol * abs(total), ctx.abs_tol):
+                bound = max(err, mp.ldexp(abs(total), -prec_work))
                 with working_precision(ctx.precision):
-                    val = +total
+                    val = mp.mpc(+total)
                 return EvalResult(
                     SphereValue.of(Scalar(val=val, prec=ctx.precision)),
-                    n, float(err), cls)
+                    n, float(bound), cls)
             if 2 * n > ctx.max_terms:
-                partial = Scalar(val=total, prec=prec_work)
                 raise ConvergenceError(
                     f"tail correction not certified within {ctx.max_terms} terms "
                     f"(estimated error {mp.nstr(err, 3)})",
-                    partial=partial, terms_used=n)
-            n *= 2
+                    partial=Scalar(val=mp.mpc(+total), prec=prec_work), terms_used=n)
 
 
 def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:

@@ -79,12 +79,16 @@ class RamanujanParams:
     m: object
     z: object
     terminating_k: Optional[int] = field(init=False, default=None)
+    integer_z: Optional[int] = field(init=False, default=None)  # z if in 0, 1, 2, ...
 
     def __post_init__(self):
         for name in ("alpha", "beta", "m", "z"):
             object.__setattr__(self, name, scalar(getattr(self, name)))
         if self.alpha.is_nonpositive_integer():
             object.__setattr__(self, "terminating_k", -self.alpha.nearest_integer()[0])
+        hit = self.z.nearest_integer()
+        if hit is not None and hit[0] >= 0:
+            object.__setattr__(self, "integer_z", hit[0])
 
     def all_exact(self) -> bool:
         return all(x.is_exact for x in (self.alpha, self.beta, self.m, self.z))
@@ -336,8 +340,7 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     """
     if p.terminating_k is not None:
         return _s_direct_terminating(p, ctx)
-    hit = p.z.nearest_integer()
-    if hit is not None and hit[0] >= 0:
+    if p.integer_z is not None:
         return s_integer_form(p, ctx)
     return _s_direct_experimental(p, ctx)
 
@@ -369,11 +372,10 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
     (recast_params for n >= 1, a plain 2F1 for n = 0) and the engine's tail
     machinery, which refuses divergent input.
     """
-    hit = p.z.nearest_integer()
-    if hit is None or hit[0] < 0:
+    n = p.integer_z
+    if n is None:
         raise InvalidParametersError(
             f"s_integer_form needs z a nonnegative integer, got z = {p.z}")
-    n = hit[0]
     k = p.terminating_k
     if k is not None:
         def stride_sum(alpha, beta, m):

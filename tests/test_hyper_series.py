@@ -81,6 +81,14 @@ class TestClassify:
     def test_excess_numerators_diverge(self):
         assert classify(HypParams((F(1, 2), 1, 1), (2,))).kind is SeriesKind.DIVERGENT
 
+    def test_float_balance_sign_near_zero(self):
+        # float 2F1s whose balance is +-2^-40: the sign alone decides
+        eps = 2.0 ** -40
+        up = classify(HypParams((0.5, 0.5), (1.0 + eps,)))
+        down = classify(HypParams((0.5, 0.5), (1.0 - eps,)))
+        assert up.kind is SeriesKind.CONVERGENT
+        assert down.kind is SeriesKind.DIVERGENT
+
     def test_saalschutzian_flag(self):
         assert classify(HypParams((1, 1), (3,))).saalschutzian
         assert not classify(HypParams((1, 1), (F(5, 2),))).saalschutzian
@@ -208,6 +216,82 @@ class TestBalancedClosedForms:
             assert err <= mp.mpf(2) ** -100, float(mpmath.log(err, 2))
 
 
+def _closed_form_error(r, reference, nums, dens, prec):
+    """Relative error of the result r against a closed form at 2*prec+100 bits."""
+    with mp.workprec(2 * prec + 100):
+        ref = reference([_mp(x) for x in nums], [_mp(x) for x in dens])
+        return abs(r.value.finite.to_mpc(2 * prec + 100) - ref) / abs(ref)
+
+
+_GAUSS = lambda n, d: _gauss(*n, *d)
+_DIXON = lambda n, d: _dixon(*n)
+_BIG_A, _BIG_B = F(1234567, 7654321), F(-98765, 43219)
+
+
+class TestFixedPointRoute:
+    """Real rational parameters are summed in integers scaled by 2^W; complex
+    ones in mpc.  Both must meet the closed forms."""
+
+    @pytest.mark.parametrize("prec,bits", [(53, 52), (256, 100), (1024, 100)])
+    @pytest.mark.parametrize("nums,dens,reference", [
+        pytest.param([F(-7, 3), F(5, 11)], [F(-7, 3) + F(5, 11) + F(13, 7)],
+                     _GAUSS, id="gauss_negative"),
+        pytest.param([_BIG_A, _BIG_B], [_BIG_A + _BIG_B + F(10007, 9973)],
+                     _GAUSS, id="gauss_large_denominators"),
+        pytest.param([F(3, 5), F(-4, 7), F(1234, 9871)],
+                     [1 + F(3, 5) + F(4, 7), 1 + F(3, 5) - F(1234, 9871)],
+                     _DIXON, id="dixon_negative"),
+        pytest.param([F(-5, 3), F(-123457, 65537), F(-2, 9)],
+                     [1 + F(-5, 3) + F(123457, 65537), 1 + F(-5, 3) + F(2, 9)],
+                     _DIXON, id="dixon_large_denominators"),
+    ])
+    def test_real_rationals_meet_closed_forms(self, nums, dens, reference, prec, bits):
+        r = pfq(nums, dens, EvalContext(precision=prec))
+        assert r.value.finite.prec == prec
+        err = _closed_form_error(r, reference, nums, dens, prec)
+        assert err <= mp.mpf(2) ** -bits, float(mpmath.log(err, 2))
+
+    def test_1024_bit_float_parameters_meet_gauss(self):
+        # dyadic denominators near 2^1024: the tail build rounds them to 2^-W
+        with mp.workprec(1024):
+            vals = [mp.mpf(1) / 3, -mp.mpf(2) / 7, mp.mpf(13) / 5]
+        nums, dens = vals[:2], vals[2:]
+        r = pfq([Scalar.from_float(x, 1024) for x in nums],
+                [Scalar.from_float(x, 1024) for x in dens], EvalContext(precision=1024))
+        err = _closed_form_error(r, _GAUSS, nums, dens, 1024)
+        assert err <= mp.mpf(2) ** -100, float(mpmath.log(err, 2))
+
+    @pytest.mark.parametrize("prec,bits", [(53, 50), (256, 100)])
+    def test_complex_parameters_meet_gauss(self, prec, bits):
+        nums, dens = [1 / 3 + 0.5j, 0.25 - 1j / 3], [2.5 + 1j / 7]
+        r = pfq(nums, dens, EvalContext(precision=prec))
+        err = _closed_form_error(r, _GAUSS, nums, dens, prec)
+        assert err <= mp.mpf(2) ** -bits, float(mpmath.log(err, 2))
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    def test_float_parameters_equal_their_dyadic_rationals(self, prec):
+        ctx = EvalContext(precision=prec)
+        r = pfq([0.37, 1.21], [3.4], ctx)
+        ref = pfq([F(0.37), F(1.21)], [F(3.4)], ctx)
+        assert r.value.finite.to_mpc(prec) == ref.value.finite.to_mpc(prec)
+        assert (r.terms_used, r.tail_bound) == (ref.terms_used, ref.tail_bound)
+
+    @pytest.mark.parametrize("nums,dens", [
+        pytest.param([F(1, 4), F(1, 4)], [1], id="rational"),
+        pytest.param([0.25, 0.25 + 0.01j], [1], id="complex"),
+    ])
+    def test_small_budget_raises_with_partial(self, nums, dens):
+        ctx = EvalContext(precision=128, max_terms=40, rel_tol=1e-40, abs_tol=1e-45)
+        with pytest.raises(ConvergenceError) as exc:
+            pfq(nums, dens, ctx)
+        partial = exc.value.partial
+        assert exc.value.terms_used == 40
+        assert partial.prec == ctx.precision + 40
+        # 40 terms plus the tail correction already land near the sum
+        ref = pfq(nums, dens).value.finite.to_mpc(128)
+        assert abs(partial.to_mpc(128) - ref) < 1e-6 * abs(ref)
+
+
 class TestConvergentEval:
     def test_telescoping_value(self):
         # terms are 2/((j+1)(j+2)), so the sum telescopes to 2
@@ -254,6 +338,13 @@ class TestConvergentEval:
                    mpmath.gamma(mp.mpf("0.75")) ** 2)
             err = abs(r.value.finite.to_mpc(300) - ref) / abs(ref)
         assert err < 1e-10
+
+    def test_tail_bound_never_zero_on_a_nonterminating_sum(self):
+        # the two truncation depths agree to the last working bit here; the
+        # estimate reads the working resolution 2^-(53+40) |sum|, not 0.0
+        r = pfq([1, F(4, 7)], [F(291, 56)], EvalContext(precision=53))
+        assert r.terms_used == 64
+        assert r.tail_bound >= 2.0 ** -93 * abs(r.value.finite.to_mpc(53))
 
     def test_tail_bound_is_honest(self):
         r = pfq([1, 1], [3])

@@ -312,6 +312,21 @@ class TestIntegerFormAndRecast:
             want = s_closed_form(p).finite.to_mpc(128)
             assert abs(got - want) <= 1e-9 * abs(want)
 
+    def test_float_integer_z_takes_the_integer_route(self):
+        p = RamanujanParams(F(1, 2), F(1, 3), F(1, 5), 2.0)
+        assert p.integer_z == 2
+        res = s_direct(p)
+        assert not res.experimental
+        exact = s_direct(RamanujanParams(F(1, 2), F(1, 3), F(1, 5), 2))
+        assert (res.value, res.terms_used) == (exact.value, exact.terms_used)
+
+    def test_half_z_is_refused_by_the_integer_form(self):
+        p = RamanujanParams(F(1, 2), F(1, 3), F(1, 5), F(1, 2))
+        assert p.integer_z is None
+        with pytest.raises(InvalidParametersError,
+                           match=r"needs z a nonnegative integer, got z = 1/2$"):
+            s_integer_form(p)
+
     def test_rejects_bad_z(self):
         with pytest.raises(InvalidParametersError):
             s_integer_form(RamanujanParams(1, 1, 1, F(1, 2)))
