@@ -11,12 +11,12 @@ from typing import Optional
 from .numeric_core import (
     DEFAULT_CONTEXT,
     EvalContext,
-    PoleError,
     Scalar,
     SphereValue,
     exact_first,
     gamma_ratio,
     pochhammer,
+    pochhammer_sum,
     scalar,
 )
 from .hyper_series import EvalResult, HypParams, eval_at_1
@@ -69,10 +69,7 @@ def pochhammer_multiplication_split(base, n: int, j: int) -> Scalar:
     if j < 0:
         raise ValueError("j must be a nonnegative integer")
     base = scalar(base)
-    acc = Scalar.exact(n) ** (n * j)
-    for i in range(1, n + 1):
-        acc = acc * pochhammer((base + (i - 1)) / n, j)
-    return acc
+    return pochhammer_sum([n ** (n * j)], [((base + i) / n, 0, j, 0) for i in range(n)])
 
 
 def askey_ismail_validity(a, d) -> bool:
@@ -103,20 +100,14 @@ def askey_ismail_rhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> Eva
         raise ValueError("k must be a nonnegative integer")
     a, c, d = scalar(a), scalar(c), scalar(d)
 
-    def prefactor(a, c, d):
-        den = pochhammer(d - a - c, k) * pochhammer(d, k)
-        if den.is_zero():
-            raise PoleError("vanishing Pochhammer in the prefactor denominator")
-        return SphereValue.of(pochhammer(d - a, k) * pochhammer(d - c, k) / den)
+    def prefactor(a, c, d):  # one term, j = 1: a vanishing denominator raises PoleError
+        return SphereValue.of(pochhammer_sum([1], [(d - a, 0, k, 0), (d - c, 0, k, 0)],
+                                             [(d - a - c, k), (d, k)], first=1))
 
     pref = exact_first(prefactor, (a, c, d), ctx)
     inner = eval_at_1(HypParams((Scalar.exact(-k), a, c), (d + k, d - c)), ctx)
-    return EvalResult(
-        value=pref * inner.value,
-        terms_used=inner.terms_used,
-        tail_bound=inner.tail_bound,
-        classification=inner.classification,
-    )
+    return EvalResult(pref * inner.value, inner.terms_used, inner.tail_bound,
+                      inner.classification)
 
 
 def terminating_2f1_limit(k: int, a) -> Scalar:

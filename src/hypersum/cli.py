@@ -280,20 +280,14 @@ def _cmd_verify(args, params: dict):
             _parse_scalar(args.m, args.mode, "--m"),
             _parse_scalar(args.z, args.mode, "--z"),
             ctx, rel_tol)
-    elif identity == "inner-sum":
-        _require(args, "verify inner-sum", ("m", "n", "r"))
+    elif identity in ("inner-sum", "finite-diff"):
+        _require(args, f"verify {identity}", ("m", "n", "r"))
         params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
-        value = inner_sum_E(_parse_scalar(args.m, args.mode, "--m"),
-                            args.n, args.r, ctx)
-        expected = Scalar.exact(1 if args.r == 0 else 0)
-        rep = compare(SphereValue.of(value), SphereValue.of(expected),
-                      ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
-    elif identity == "finite-diff":
-        _require(args, "verify finite-diff", ("m", "n", "r"))
-        params.update(m=args.m, n=args.n, r=args.r, mode=args.mode)
-        value = finite_difference_check(
+        inner = identity == "inner-sum"
+        value = (inner_sum_E if inner else finite_difference_check)(
             _parse_scalar(args.m, args.mode, "--m"), args.n, args.r, ctx)
-        rep = compare(SphereValue.of(value), SphereValue.of(Scalar.exact(0)),
+        expected = Scalar.exact(1 if inner and args.r == 0 else 0)
+        rep = compare(SphereValue.of(value), SphereValue.of(expected),
                       ctx, rel_tol, {"m": args.m, "n": args.n, "r": args.r})
     elif identity == "askey-ismail":
         # a, c ride on --num and d on --den (the flag set has no dedicated

@@ -42,12 +42,11 @@ from .numeric_core import (
     EvalContext,
     GUARD_BITS,
     InvalidParametersError,
-    PoleError,
     Scalar,
     SphereValue,
     _dyadic,
     exact_first,
-    pochhammer,
+    pochhammer_sum,
     scalar,
     working_precision,
 )
@@ -189,15 +188,7 @@ def term(params: HypParams, j: int) -> Scalar:
     ratio (no recurrence).  A vanishing denominator Pochhammer is a pole."""
     if j < 0:
         raise ValueError("term index must be >= 0")
-    num = Scalar.exact(1)
-    for a in params.numerator:
-        num = num * pochhammer(a, j)
-    den = Scalar.exact(math.factorial(j))
-    for b in params.denominator:
-        den = den * pochhammer(b, j)
-    if den.is_zero():
-        raise PoleError(f"denominator Pochhammer vanishes at index {j}", term_index=j)
-    return num / den
+    return _terms(params.numerator, params.denominator, j, j)
 
 
 def _ratio_factors(a_vals, b_vals, j):
@@ -211,21 +202,11 @@ def _ratio_factors(a_vals, b_vals, j):
     return num / den
 
 
-def _sum_terminating(k: int, p: int, *params: Scalar) -> Scalar:
-    """The k+1 terms of a terminating series with numerator parameters
-    params[:p] and denominator parameters params[p:], in either mode."""
-    t = Scalar.exact(1)
-    acc = t
-    for j in range(k):
-        num = Scalar.exact(1)
-        for a in params[:p]:
-            num = num * (a + j)
-        den = Scalar.exact(j + 1)
-        for b in params[p:]:
-            den = den * (b + j)
-        t = t * num / den
-        acc = acc + t
-    return acc
+def _terms(nums, dens, first: int, last: int) -> Scalar:
+    """Terms first..last of the series, term j being prod (a)_j / (prod (b)_j j!),
+    summed by pochhammer_sum."""
+    return pochhammer_sum([1] * (last + 1 - first), [(a, 0, 0, 1) for a in nums],
+                          [(b, 1) for b in dens] + [(1, 1)], first)
 
 
 def _finite_sum_result(value: SphereValue, cls: SeriesClassification) -> EvalResult:
@@ -429,11 +410,11 @@ def _sum_balanced(params: HypParams, cls: SeriesClassification,
 def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """Sum the series at unit argument.
 
-    Terminating series are summed exactly whenever every parameter is real
-    (through exact_first: real floats enter as the exact rationals they are
-    and the sum is rounded once to ctx.precision); complex parameters are
-    summed in float with guard bits.  Convergent series are summed in float
-    mode at ctx.precision until the estimated tail drops below
+    Terminating series are summed by pochhammer_sum through exact_first:
+    exactly whenever every parameter is real (a float as the exact rational
+    it is, the sum rounded once to ctx.precision), in float with guard bits
+    for complex parameters.  Convergent series are summed in float mode at
+    ctx.precision until the estimated tail drops below
     max(rel_tol * |partial|, abs_tol).  Divergent input is refused.
     """
     cls = classify(params, ctx)
@@ -442,7 +423,7 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
             f"refusing to sum a {cls.kind.value} series at unit argument", cls)
     if cls.kind is SeriesKind.TERMINATING:
         value = exact_first(
-            lambda *xs: SphereValue.of(_sum_terminating(cls.k, params.p, *xs)),
+            lambda *xs: SphereValue.of(_terms(xs[:params.p], xs[params.p:], 0, cls.k)),
             params.numerator + params.denominator, ctx)
         return _finite_sum_result(value, cls)
     if params.p <= params.q:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -40,6 +41,7 @@ __all__ = [
     "scalar",
     "gamma",
     "pochhammer",
+    "pochhammer_sum",
     "pochhammer_sphere",
     "gamma_ratio",
     "working_precision",
@@ -683,6 +685,80 @@ def pochhammer(a, j: int) -> Scalar:
     if down.is_zero():
         raise PoleError(f"({a})_{j} is infinite: zero factor in the defining product")
     return 1 / down
+
+
+def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
+                   den: Sequence[tuple] = (), first: int = 0) -> Scalar:
+    """sum_j w_j prod (a + j b)_{l0 + j l1} / prod (c)_{l j} over j = first,
+    first + 1, ..., one term per integer weight, with the progressions
+    (a, b, l0, l1) in ``num`` and (c, l) in ``den``; no length may be negative.
+
+    Rational factors are summed in integers: (A/q + j B/q)_L is
+    prod_{i<L} (A + jB + iq) / q^L, and each q's powers go to one common
+    exponent.  A progression with a fixed start, as every denominator has,
+    is extended by its new factors; so each denominator divides the next
+    term's, the running sum is multiplied by the new factors only, and the
+    total is made a Fraction once.  A float factor (exact_first passes them
+    for complex input) runs the same products in mpmath at its precision.
+    A sqrt(pi) multiple raises UnsupportedExactError.  A denominator that
+    vanishes first at term j raises PoleError with term_index j.
+    """
+    progs = [(scalar(a), scalar(b), l0, l1) for a, b, l0, l1 in num] \
+        + [(scalar(c), Scalar.exact(0), 0, l) for c, l in den]
+    last = first + len(weights) - 1
+    if weights and any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
+        raise ValueError("a Pochhammer length is negative on the summation range")
+    factors = [x for a, b, *_ in progs for x in (a, b)]
+    e0, e1 = Counter(), Counter()  # term j has q^(e0[q] + j e1[q]) in its denominator
+    exact = all(x.is_rational for x in factors)
+    if exact:
+        prec, one = MIN_PRECISION, 1
+        for i, (a, b, l0, l1) in enumerate(progs):
+            q = math.lcm(a.fraction.denominator, b.fraction.denominator)
+            progs[i] = (int(a.fraction * q), int(b.fraction * q), q, l0, l1)
+            sign = 1 if i < len(num) else -1
+            e0[q] += sign * l0
+            e1[q] += sign * l1
+
+        def rise(s, q, n):
+            return math.prod(range(s, s + n * q, q))
+    elif any(x.is_float for x in factors):
+        prec, one = max(x.prec for x in factors if x.is_float), mp.mpc(1)
+        progs = [(a.to_mpc(prec), b.to_mpc(prec), 1, l0, l1) for a, b, l0, l1 in progs]
+
+        def rise(s, q, n):
+            return math.prod((s + i for i in range(n)), start=one)
+    else:
+        raise UnsupportedExactError("a Pochhammer sum of sqrt(pi) multiples")
+    top = {q: max(0, e0[q] + first * e1[q], e0[q] + last * e1[q]) for q in e0 if q != 1}
+    runs = [(0, one)] * len(progs)  # length and product at the last term
+    acc = 0
+    with working_precision(prec):
+        for j, w in enumerate(weights, first):
+            t, ext = w, one
+            for i, (a, b, q, l0, l1) in enumerate(progs):
+                s, n = a + j * b, l0 + j * l1
+                n0, p = runs[i]
+                if b == 0 and l1 >= 0:  # a fixed start: extend by the new factors
+                    f = rise(s + n0 * q, q, n - n0)
+                    p = p * f
+                else:
+                    p = rise(s, q, n)
+                runs[i] = (n, p)
+                if i < len(num):
+                    t = t * p
+                else:
+                    ext = ext * f
+            if ext == 0:
+                raise PoleError(f"denominator Pochhammer vanishes at term {j}",
+                                term_index=j)
+            for q, e in top.items():
+                t *= q ** (e - e0[q] - j * e1[q])
+            acc = acc * ext + t
+        total_den = math.prod((p for _, p in runs[len(num):]), start=one)
+        if exact:
+            return Scalar(coef=Fraction(acc, total_den * math.prod(q ** e for q, e in top.items())))
+        return Scalar(val=acc / total_den, prec=prec)
 
 
 def pochhammer_sphere(a, j: int) -> SphereValue:

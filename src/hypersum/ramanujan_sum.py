@@ -43,6 +43,7 @@ from .numeric_core import (
     exact_first,
     gamma_ratio,
     pochhammer,
+    pochhammer_sum,
     scalar,
     working_precision,
 )
@@ -149,14 +150,9 @@ def s_closed_form(p: RamanujanParams, ctx: Optional[EvalContext] = None) -> Sphe
                        (p.alpha, p.beta, p.m), ctx or DEFAULT_CONTEXT)
 
 
-def _direct_term(alpha_k: int, beta: Scalar, m: Scalar, z: Scalar, j: int) -> Scalar:
-    """Term j >= 1 of the reduced series for alpha = -k:
-    m * (beta+1-k+j(z+1))_{k-j} (m+jz+1)_{j-1} (-k)_j / j!."""
-    k = alpha_k
-    t = m * pochhammer(beta + 1 - k + j * (z + 1), k - j)
-    t = t * pochhammer(m + j * z + 1, j - 1)
-    t = t * pochhammer(Scalar.exact(-k), j)
-    return t / math.factorial(j)
+def _signed_binomials(n: int, first: int = 0) -> list:
+    """(-1)^j C(n, j) = (-n)_j / j! for j = first, ..., n."""
+    return [(-1) ** j * math.comb(n, j) for j in range(first, n + 1)]
 
 
 def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
@@ -164,11 +160,12 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
 
     def direct_sum(beta, m, z):
         # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
-        # leaving (beta+1-k)_k; this keeps m = 0 well-defined.
-        acc = pochhammer(beta + 1 - k, k)
-        for j in range(1, k + 1):
-            acc = acc + _direct_term(k, beta, m, z, j)
-        return SphereValue.of(acc)
+        # leaving (beta+1-k)_k; this keeps m = 0 well-defined.  Term j >= 1
+        # is m (beta+1-k+j(z+1))_{k-j} (m+1+jz)_{j-1} (-k)_j / j!.
+        rest = pochhammer_sum(_signed_binomials(k, 1),
+                              [(beta + 1 - k, z + 1, k, -1), (m + 1, z, -1, 1)],
+                              first=1)
+        return SphereValue.of(pochhammer(beta + 1 - k, k) + m * rest)
 
     value = exact_first(direct_sum, (p.beta, p.m, p.z), ctx)
     return _finite_sum_result(value, _terminating_cls(k))
@@ -326,15 +323,14 @@ def _gamma_ratio_expansion(pairs):
 def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """S summed from its defining series.
 
-    Terminating alpha = -k: finite sum (k+1 terms) via the reduced
-    Pochhammer form, in exact arithmetic whenever beta, m and z are real;
-    float inputs enter as the exact rationals they are and the sum is
-    rounded once to ctx.precision (see exact_first).
-    Nonterminating with z a nonnegative integer: handled by the
-    hypergeometric rewrite (s_integer_form).  Anything else is evaluated
-    experimentally: N terms with float gammas, then the asymptotic tail
-    C sum_k e_k zeta(2+k, N), at ctx.precision + 30 bits until a tail term
-    falls below 2^-(precision+30) of the sum.  terms_used is N and
+    Terminating alpha = -k: the k+1 terms of the reduced Pochhammer form,
+    summed by pochhammer_sum through exact_first, so exactly whenever beta,
+    m and z are real (a float as the exact rational it is, the sum rounded
+    once to ctx.precision).  Nonterminating with z a nonnegative integer:
+    s_integer_form.  Anything else is evaluated experimentally: N terms
+    with float gammas, then the asymptotic tail C sum_k e_k zeta(2+k, N), at
+    ctx.precision + 30 bits until a tail term falls below
+    2^-(precision+30) of the sum.  terms_used is N and
     tail_bound |m| times the last tail term, an estimate.  Re z <= 0 raises
     PoleError or DivergentSeriesError.
     """
@@ -351,26 +347,15 @@ def _prefactor(alpha, beta) -> SphereValue:
     return gamma_ratio(beta + 1, alpha + beta + 1)
 
 
-def _stride_term(n: int, j: int, beta, m, alpha) -> Scalar:
-    num = pochhammer(beta + 1, n * j) * pochhammer(m, (n + 1) * j) * pochhammer(alpha, j)
-    den = (pochhammer(alpha + beta + 1, (n + 1) * j) * pochhammer(m + 1, n * j)
-           * math.factorial(j))
-    if den.is_zero():
-        raise PoleError(
-            f"denominator Pochhammer vanishes at term {j} of the stride form",
-            term_index=j)
-    return num / den
-
-
 def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """S at z = n, a nonnegative integer, through the stride-Pochhammer
     hypergeometric rewrite with prefactor Gamma(beta+1)/Gamma(alpha+beta+1).
 
-    Terminating series are summed in the stride form itself, exactly for
-    real inputs and rounded once to ctx.precision when an input was a float
-    (see exact_first); nonterminating ones go through the parameter-split
-    (recast_params for n >= 1, a plain 2F1 for n = 0) and the engine's tail
-    machinery, which refuses divergent input.
+    Terminating series are summed in the stride form itself by
+    pochhammer_sum through exact_first, as in s_direct; nonterminating ones
+    go through the parameter-split (recast_params for n >= 1, a plain 2F1
+    for n = 0) and the engine's tail machinery, which refuses divergent
+    input.
     """
     n = p.integer_z
     if n is None:
@@ -379,9 +364,11 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
     k = p.terminating_k
     if k is not None:
         def stride_sum(alpha, beta, m):
-            acc = Scalar.exact(0)
-            for j in range(k + 1):
-                acc = acc + _stride_term(n, j, beta, m, alpha)
+            # term j: (beta+1)_{nj} (m)_{(n+1)j} (alpha)_j
+            #         / ((alpha+beta+1)_{(n+1)j} (m+1)_{nj} j!)
+            acc = pochhammer_sum([1] * (k + 1),
+                                 [(beta + 1, 0, 0, n), (m, 0, 0, n + 1), (alpha, 0, 0, 1)],
+                                 [(alpha + beta + 1, n + 1), (m + 1, n), (1, 1)])
             return _prefactor(alpha, beta) * SphereValue.of(acc)
 
         value = exact_first(stride_sum, (p.alpha, p.beta, p.m), ctx)
@@ -456,13 +443,10 @@ def s_polynomial(k: int, beta, m) -> PolynomialInZ:
 
 
 def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
-    """E = sum_{j=0}^{r} [(m+r)_{nj} / (m+1)_{nj}] (-1)^j C(r, j).
-
-    Equals 1 at r = 0 and 0 for every r >= 1.  The ratio of stride
-    Pochhammers is updated incrementally so the cost is O(n r) ring
-    operations rather than O(n r^2).  Through exact_first: a real m is summed
-    exactly (a float m as the exact rational it is, rounded once to
-    ctx.precision); a complex m is summed in float with guard bits.
+    """E = sum_{j=0}^{r} [(m+r)_{nj} / (m+1)_{nj}] (-1)^j C(r, j), which is 1
+    at r = 0 and 0 for every r >= 1.  Summed by pochhammer_sum through
+    exact_first: exactly for real m (a float as the exact rational it is,
+    rounded once to ctx.precision), in float with guard bits for complex m.
     """
     if n < 1:
         raise InvalidParametersError("inner_sum_E needs n >= 1")
@@ -470,46 +454,26 @@ def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
         raise ValueError("r must be a nonnegative integer")
 
     def alternating_sum(m):
-        ratio = Scalar.exact(1)
-        acc = Scalar.exact(0)
-        for j in range(r + 1):
-            acc = acc + (-1) ** j * math.comb(r, j) * ratio
-            if j < r:
-                for i in range(n * j, n * (j + 1)):
-                    den = m + 1 + i
-                    if den.is_zero():
-                        raise PoleError(
-                            f"(m+1)_{{{n}j}} vanishes before j = {j + 1}",
-                            term_index=j + 1)
-                    ratio = ratio * (m + r + i) / den
-        return SphereValue.of(acc)
+        return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + r, 0, 0, n)],
+                                             [(m + 1, n)]))
 
     return exact_first(alternating_sum, (m,), ctx or DEFAULT_CONTEXT).finite
-
-
-def _falling(p: Scalar, t: int) -> Scalar:
-    return pochhammer(p - (t - 1), t)
 
 
 def finite_difference_check(m, n: int, r: int,
                             ctx: Optional[EvalContext] = None) -> Scalar:
     """(r-1)-th derivative of x^{m+r-1} (1 - x^n)^r at x = 1, by expanding
     the binomial and differentiating monomials: the result is
-    sum_j (-1)^j C(r,j) (m+r-1+nj)(m+r-2+nj)...(m+1+nj), a falling
-    factorial of length r-1 per term.  Exactly zero, since the zero of
-    (1-x^n)^r at x = 1 has order r > r-1.  Summed through exact_first, as
-    inner_sum_E is."""
+    sum_j (-1)^j C(r,j) (m+r-1+nj)(m+r-2+nj)...(m+1+nj), the rising
+    factorial (m+1+nj)_{r-1} per term.  Exactly zero, since the zero of
+    (1-x^n)^r at x = 1 has order r > r-1.  Summed as inner_sum_E is."""
     if n < 1:
         raise InvalidParametersError("finite_difference_check needs n >= 1")
     if r < 1:
         raise ValueError("r must be a positive integer")
 
     def alternating_sum(m):
-        acc = Scalar.exact(0)
-        for j in range(r + 1):
-            p = m + (r - 1 + n * j)
-            acc = acc + (-1) ** j * math.comb(r, j) * _falling(p, r - 1)
-        return SphereValue.of(acc)
+        return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + 1, n, r - 1, 0)]))
 
     return exact_first(alternating_sum, (m,), ctx or DEFAULT_CONTEXT).finite
 

@@ -32,8 +32,8 @@ from .numeric_core import (
     scalar,
 )
 from .hyper_series import HypParams, eval_at_1
-from .ramanujan_sum import (RamanujanParams, _prefactor, recast_params,
-                            s_closed_form, s_direct)
+from .ramanujan_sum import (RamanujanParams, recast_params, s_closed_form,
+                            s_direct)
 
 __all__ = [
     "Verdict",
@@ -157,14 +157,16 @@ def counterexample_eq9(alpha, beta,
                        rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """S(1) with m = alpha+beta+1, where the closed form breaks down.
 
-    S(1) is computed three independent ways: the recast 4F3 route, the
-    2F1 reduction Gamma(beta+1)/Gamma(m) * 2F1(beta+1, alpha; m+1; 1) that
-    the constraint m = alpha+beta+1 produces, and the fully reduced
-    expression m/((m-alpha)*Gamma(alpha+1)).  The three must agree within
-    ROUTE_TOL (else IdentityAssertionError); the report then compares S(1)
-    against the closed form, which is 0 here, so the expected verdict is
-    Mismatch for non-integer alpha.  Nonpositive integer alpha makes both
-    sides vanish and the verdict is a match instead.
+    S(1) is computed three ways: the recast 4F3 route, the 2F1 reduction
+    Gamma(beta+1)/Gamma(m) * 2F1(beta+1, alpha; m+1; 1) that the constraint
+    m = alpha+beta+1 produces, and the fully reduced expression
+    m/((m-alpha)*Gamma(alpha+1)).  The first two share one prefactor,
+    computed once by recast_params; their series are independent.  The
+    three must agree within ROUTE_TOL (else IdentityAssertionError); the
+    report then compares S(1) against the closed form, which is 0 here, so
+    the expected verdict is Mismatch for non-integer alpha.  Nonpositive
+    integer alpha makes both sides vanish and the verdict is a match
+    instead.
     """
     ctx = ctx or DEFAULT_CONTEXT
     alpha, beta = scalar(alpha), scalar(beta)
@@ -174,7 +176,8 @@ def counterexample_eq9(alpha, beta,
     params, pref = recast_params(alpha, beta, m, 1, ctx)
     route_a = pref * eval_at_1(params, ctx).value
 
-    route_b = _counterexample_2f1(alpha, beta, m, ctx)
+    # the constraint m = alpha+beta+1 collapses the Gamma(m+2j) pair termwise
+    route_b = pref * eval_at_1(HypParams((beta + 1, alpha), (m + 1,)), ctx).value
     route_c = _counterexample_reduced(alpha, m, ctx)
 
     routes = (route_a, route_b, route_c)
@@ -199,15 +202,6 @@ def counterexample_eq9(alpha, beta,
         "route_tol": ROUTE_TOL,
     }
     return compare(route_a, closed, ctx, rel_tol, context)
-
-
-def _counterexample_2f1(alpha: Scalar, beta: Scalar, m: Scalar,
-                        ctx: EvalContext) -> SphereValue:
-    # Gamma(beta+1)/Gamma(m) * 2F1(beta+1, alpha; m+1; 1); the constraint
-    # m = alpha+beta+1 collapsed the Gamma(m+2j) pair termwise.
-    pref = exact_first(_prefactor, (alpha, beta), ctx)
-    series = eval_at_1(HypParams((beta + 1, alpha), (m + 1,)), ctx)
-    return pref * series.value
 
 
 def _counterexample_reduced(alpha: Scalar, m: Scalar,

@@ -23,6 +23,8 @@ from hypersum.numeric_core import (
     InvalidParametersError,
     PoleError,
     Scalar,
+    SphereValue,
+    exact_first,
 )
 
 F = Fraction
@@ -162,6 +164,70 @@ class TestTerminatingEval:
         with mp.workprec(212):
             exact = mp.mpf(ref.numerator) / ref.denominator
             assert abs(v.to_mpc(53) - exact) / abs(exact) <= mp.mpf(2) ** -51
+
+
+def terminating_reference(k: int, p: int, *params: Scalar) -> Scalar:
+    """The k+1 terms of a terminating series, each from the last by one
+    Scalar factor at a time: the reference for eval_at_1's integer sum."""
+    t = Scalar.exact(1)
+    acc = t
+    for j in range(k):
+        num = Scalar.exact(1)
+        for a in params[:p]:
+            num = num * (a + j)
+        den = Scalar.exact(j + 1)
+        for b in params[p:]:
+            den = den * (b + j)
+        t = t * num / den
+        acc = acc + t
+    return acc
+
+
+# negative numerators, denominators up to 50, and dyadic floats
+TERMINATING_PARAM = st.one_of(
+    st.fractions(min_value=-15, max_value=15, max_denominator=50),
+    st.floats(min_value=-15, max_value=15, allow_nan=False),
+)
+
+
+class TestTerminatingOracle:
+    @given(st.integers(min_value=0, max_value=15),
+           st.lists(TERMINATING_PARAM, max_size=3), st.lists(TERMINATING_PARAM, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_loop(self, k, nums, dens):
+        try:
+            params = HypParams((-k, *nums), tuple(dens))
+        except InvalidParametersError:
+            return
+        ctx = EvalContext(precision=64)
+        r = eval_at_1(params, ctx)
+        k = r.classification.k
+        ref = exact_first(
+            lambda *xs: SphereValue.of(terminating_reference(k, params.p, *xs)),
+            params.numerator + params.denominator, ctx)
+        assert r.value == ref
+        v = r.value.finite
+        if all(x.is_exact for x in params.numerator + params.denominator):
+            assert isinstance(v.fraction, Fraction)
+        else:
+            assert v.is_float
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    def test_complex_parameter_falls_back_to_float(self, prec):
+        # no exact sum: float with guard bits, rounded once, tail_bound 0.0
+        ctx = EvalContext(precision=prec)
+        for k in range(4):
+            params = HypParams((-k, complex(1.25, 0.5)), (F(9, 4),))
+            r = eval_at_1(params, ctx)
+            v = r.value.finite
+            assert v.is_float and v.prec == prec
+            assert r.tail_bound == 0.0 and isinstance(r.tail_bound, float)
+            ref = exact_first(
+                lambda *xs: SphereValue.of(terminating_reference(k, params.p, *xs)),
+                params.numerator + params.denominator, ctx)
+            with mp.workprec(4 * prec):
+                want = ref.finite.to_mpc(prec)
+                assert abs(v.to_mpc(prec) - want) <= mp.mpf(2) ** -(prec - 2) * abs(want)
 
 
 def _mp(x):

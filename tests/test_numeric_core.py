@@ -19,6 +19,7 @@ from hypersum.numeric_core import (
     gamma_ratio,
     pochhammer,
     pochhammer_sphere,
+    pochhammer_sum,
     scalar,
 )
 
@@ -371,6 +372,88 @@ class TestPochhammer:
         with mp.workprec(113):
             ref = mp.mpf("0.5") * mp.mpf("1.5") * mp.mpf("2.5") * mp.mpf("3.5")
             assert rel_err(p.to_mpc(113), ref) < 1e-30
+
+
+def pochhammer_sum_oracle(weights, num, den, first):
+    """pochhammer_sum's defining sum, one Fraction factor at a time; None
+    when a denominator vanishes, with the index of that term."""
+    total = Fraction(0)
+    for j, w in enumerate(weights, first):
+        t = Fraction(w)
+        for a, b, l0, l1 in num:
+            t *= pochhammer_oracle(a + j * b, l0 + j * l1)
+        d = Fraction(1)
+        for c, l in den:
+            d *= pochhammer_oracle(c, l * j)
+        if d == 0:
+            return None, j
+        total += t / d
+    return total, None
+
+
+PROGRESSION_RATIONALS = st.one_of(
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.fractions(min_value=-12, max_value=12, max_denominator=50))
+
+
+class TestPochhammerSum:
+    @given(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=7),
+        st.lists(st.tuples(PROGRESSION_RATIONALS, PROGRESSION_RATIONALS,
+                           st.integers(min_value=0, max_value=4),
+                           st.integers(min_value=-1, max_value=3)), max_size=3),
+        st.lists(st.tuples(PROGRESSION_RATIONALS, st.integers(min_value=0, max_value=3)),
+                 max_size=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, weights, num, den, first):
+        last = first + len(weights) - 1
+        # lengths l0 + j l1 stay nonnegative on the range
+        num = [(a, b, max(l0, -l1 * last, -l1 * first), l1) for a, b, l0, l1 in num]
+        expect, pole_at = pochhammer_sum_oracle(weights, num, den, first)
+        if expect is None:
+            with pytest.raises(PoleError) as exc:
+                pochhammer_sum(weights, num, den, first)
+            assert exc.value.term_index == pole_at
+            return
+        got = pochhammer_sum(weights, num, den, first)
+        assert got.is_rational and got.fraction == expect
+
+    def test_pole_names_the_first_vanishing_term(self):
+        # (-3/1)_{2j}: the factor 0 enters at j = 2
+        with pytest.raises(PoleError) as exc:
+            pochhammer_sum([1] * 5, [], [(-3, 2)])
+        assert exc.value.term_index == 2
+        # a vanishing numerator is no pole
+        assert pochhammer_sum([1, 1], [(-1, 0, 0, 2)], [(1, 1)]).fraction == 1
+
+    def test_empty_range_is_zero(self):
+        assert pochhammer_sum([], [(Fraction(1, 3), 1, -1, 1)], [(2, 1)], 1) == Scalar.exact(0)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            pochhammer_sum([1, 1, 1], [(1, 0, 1, -1)])
+        with pytest.raises(ValueError):
+            pochhammer_sum([1, 1], [], [(1, -1)])
+
+    def test_sqrtpi_multiple_unsupported(self):
+        with pytest.raises(UnsupportedExactError):
+            pochhammer_sum([1, 1], [(Scalar.exact_sqrtpi(1), 0, 0, 1)])
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    def test_float_factor_runs_in_float(self, prec):
+        # the same products in mpmath at the float's precision; the exact
+        # factors 1/3 and 1 are converted to it
+        z = Scalar.from_float(complex(0.75, -0.5), prec)
+        got = pochhammer_sum([1, -3, 3, -1], [(z, Fraction(1, 3), 1, 1)], [(z + 2, 1), (1, 1)])
+        assert got.is_float and got.prec == prec
+        with mp.workprec(prec + 20):
+            zz = z.to_mpc(prec)
+            want = sum(w * mpmath.rf(zz + j * mp.mpf(1) / 3, 1 + j)
+                       / (mpmath.rf(zz + 2, j) * mpmath.factorial(j))
+                       for j, w in enumerate([1, -3, 3, -1]))
+            assert rel_err(got.to_mpc(prec), want) < mpmath.mpf(2) ** -(prec - 8)
 
 
 class TestGammaRatio:

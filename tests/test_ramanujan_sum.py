@@ -12,6 +12,8 @@ from hypersum.numeric_core import (
     ConvergenceError,
     DivergentSeriesError,
     EvalContext,
+    exact_first,
+    gamma_ratio,
     IdentityAssertionError,
     InvalidParametersError,
     PoleError,
@@ -258,6 +260,188 @@ class TestPolynomial:
         assert all(c.is_zero() for c in poly.z_coefficients())
         expect = pochhammer(Scalar.exact(beta) + 1 - m - k, k)
         assert poly.constant_term == expect
+
+
+# The Scalar loops that s_direct, s_integer_form, inner_sum_E and
+# finite_difference_check ran before they summed in integers, one Pochhammer
+# (or one factor) at a time: the references for pochhammer_sum's arithmetic.
+
+def direct_reference(k: int, beta, m, z) -> Scalar:
+    acc = pochhammer(beta + 1 - k, k)
+    for j in range(1, k + 1):
+        t = m * pochhammer(beta + 1 - k + j * (z + 1), k - j)
+        t = t * pochhammer(m + j * z + 1, j - 1)
+        t = t * pochhammer(Scalar.exact(-k), j)
+        acc = acc + t / math.factorial(j)
+    return acc
+
+
+def stride_reference(n: int, k: int, alpha, beta, m) -> SphereValue:
+    acc = Scalar.exact(0)
+    for j in range(k + 1):
+        num = pochhammer(beta + 1, n * j) * pochhammer(m, (n + 1) * j) * pochhammer(alpha, j)
+        den = (pochhammer(alpha + beta + 1, (n + 1) * j) * pochhammer(m + 1, n * j)
+               * math.factorial(j))
+        if den.is_zero():
+            raise PoleError(f"stride term {j} has a zero denominator", term_index=j)
+        acc = acc + num / den
+    return gamma_ratio(beta + 1, alpha + beta + 1) * SphereValue.of(acc)
+
+
+def inner_sum_reference(n: int, r: int, m) -> Scalar:
+    ratio = Scalar.exact(1)
+    acc = Scalar.exact(0)
+    for j in range(r + 1):
+        acc = acc + (-1) ** j * math.comb(r, j) * ratio
+        if j < r:
+            for i in range(n * j, n * (j + 1)):
+                den = m + 1 + i
+                if den.is_zero():
+                    raise PoleError(f"(m+1)_nj vanishes before j = {j + 1}",
+                                    term_index=j + 1)
+                ratio = ratio * (m + r + i) / den
+    return acc
+
+
+def finite_difference_reference(n: int, r: int, m) -> Scalar:
+    acc = Scalar.exact(0)
+    for j in range(r + 1):
+        p = m + (r - 1 + n * j)
+        acc = acc + (-1) ** j * math.comb(r, j) * pochhammer(p - (r - 2), r - 1)
+    return acc
+
+
+def through_exact_first(reference, args, ctx):
+    """The reference run as the library runs its sums: exactly, float inputs
+    as their dyadic rationals, rounded once when an input was a float."""
+    def fn(*xs):
+        v = reference(*xs)
+        return v if isinstance(v, SphereValue) else SphereValue.of(v)
+    return exact_first(fn, args, ctx)
+
+
+def outcome(call):
+    """("value", v) or ("pole", term_index): what a call returned or raised."""
+    try:
+        return "value", call()
+    except PoleError as exc:
+        return "pole", exc.term_index
+
+
+def assert_same(got, want, args):
+    """Equal outcomes; an exact value is an equal Fraction, a float one is
+    equal after the one rounding."""
+    assert got == want
+    if got[0] == "value":
+        v = got[1].finite if isinstance(got[1], SphereValue) else got[1]
+        if all(isinstance(x, (int, F)) for x in args):
+            assert isinstance(v.fraction, F)
+        else:
+            assert v.is_float
+
+
+ORACLE_CTX = EvalContext(precision=64)
+# negative numerators, integers (poles and zeros), denominators up to 50,
+# and dyadic floats, which exact_first sums as the rationals they are
+ORACLE_PARAM = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-15, max_value=15, max_denominator=50),
+    st.floats(min_value=-15, max_value=15, allow_nan=False),
+)
+
+
+class TestIntegerSumsMatchScalarOracles:
+    @given(st.integers(min_value=0, max_value=12), ORACLE_PARAM,
+           st.one_of(st.just(0), ORACLE_PARAM), st.one_of(st.just(-1), ORACLE_PARAM))
+    @settings(max_examples=150, deadline=None)
+    def test_s_direct(self, k, beta, m, z):
+        got = outcome(lambda: s_direct(RamanujanParams(-k, beta, m, z), ORACLE_CTX).value)
+        want = outcome(lambda: through_exact_first(
+            lambda b, mm, zz: direct_reference(k, b, mm, zz), (beta, m, z), ORACLE_CTX))
+        assert_same(got, want, (beta, m, z))
+
+    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10),
+           ORACLE_PARAM, st.one_of(st.just(0), ORACLE_PARAM))
+    @settings(max_examples=150, deadline=None)
+    def test_s_integer_form(self, n, k, beta, m):
+        got = outcome(lambda: s_integer_form(RamanujanParams(-k, beta, m, n), ORACLE_CTX).value)
+        want = outcome(lambda: through_exact_first(
+            lambda a, b, mm: stride_reference(n, k, a, b, mm), (-k, beta, m), ORACLE_CTX))
+        assert_same(got, want, (beta, m))
+
+    @given(ORACLE_PARAM, st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_inner_sum_E(self, m, n, r):
+        got = outcome(lambda: inner_sum_E(m, n, r, ORACLE_CTX))
+        want = outcome(lambda: through_exact_first(
+            lambda mm: inner_sum_reference(n, r, mm), (m,), ORACLE_CTX).finite)
+        assert_same(got, want, (m,))
+
+    @given(ORACLE_PARAM, st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_difference_check(self, m, n, r):
+        got = finite_difference_check(m, n, r, ORACLE_CTX)
+        want = through_exact_first(
+            lambda mm: finite_difference_reference(n, r, mm), (m,), ORACLE_CTX).finite
+        assert_same(("value", got), ("value", want), (m,))
+
+    @pytest.mark.parametrize("k,beta,m,z", [(0, F(7, 3), F(-5, 2), -1), (5, F(-9, 4), 0, -1),
+                                            (30, F(-41, 47), F(13, 50), F(-37, 49))])
+    def test_s_direct_spot_grid(self, k, beta, m, z):
+        got = s_direct(RamanujanParams(-k, beta, m, z)).value.finite.fraction
+        assert got == direct_reference(k, *map(Scalar.exact, (beta, m, z))).fraction
+
+
+class TestPoleAndFallbackParity:
+    @pytest.mark.parametrize("n,k,beta,m,index", [
+        (1, 3, 0, F(1, 2), 2),        # (alpha+beta+1)_{2j} = (-2)_{2j}
+        (2, 4, F(1, 3), -3, 2),       # (m+1)_{2j} = (-2)_{2j}
+        (0, 5, 2, F(2, 7), 3),        # (alpha+beta+1)_j = (-2)_j
+    ])
+    def test_stride_form_pole(self, n, k, beta, m, index):
+        with pytest.raises(PoleError) as exc:
+            s_integer_form(RamanujanParams(-k, beta, m, n))
+        assert exc.value.term_index == index
+        with pytest.raises(PoleError) as ref:
+            stride_reference(n, k, *map(Scalar.exact, (-k, beta, m)))
+        assert ref.value.term_index == index
+
+    @pytest.mark.parametrize("m,n,r,index", [(-2, 1, 3, 2), (-7, 3, 4, 3), (-1, 2, 5, 1),
+                                             (-9, 4, 2, None)])
+    def test_inner_sum_pole(self, m, n, r, index):
+        # m+1+i = 0 for i = -m-1: the pole enters at the first j with nj > -m-1
+        got = outcome(lambda: inner_sum_E(m, n, r))
+        assert got == outcome(lambda: inner_sum_reference(n, r, Scalar.exact(m)))
+        assert got[0] == ("value" if index is None else "pole")
+        if index is not None:
+            assert got[1] == index
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    @pytest.mark.parametrize("route", ["s_direct", "s_integer_form"])
+    @pytest.mark.parametrize("kind", ["sqrtpi", "complex"])
+    def test_float_fallback(self, prec, route, kind):
+        # no exact form: the sum runs in float with guard bits, tail_bound
+        # reads 0.0, and the value meets the Scalar loop's to 2^-(P-2)
+        ctx = EvalContext(precision=prec)
+        beta = Scalar.exact_sqrtpi(F(3, 7)) if kind == "sqrtpi" else complex(1.25, 0.5)
+        for k in range(4):
+            if route == "s_direct":
+                z = F(7, 2) if kind == "sqrtpi" else complex(3.5, 0.25)
+                res = s_direct(RamanujanParams(-k, beta, F(5, 4), z), ctx)
+                ref = through_exact_first(lambda b, mm, zz: direct_reference(k, b, mm, zz),
+                                          (beta, F(5, 4), z), ctx)
+            else:
+                res = s_integer_form(RamanujanParams(-k, beta, F(5, 4), 2), ctx)
+                ref = through_exact_first(lambda a, b, mm: stride_reference(2, k, a, b, mm),
+                                          (-k, beta, F(5, 4)), ctx)
+            v = res.value.finite
+            assert v.is_float and v.prec == prec
+            assert res.tail_bound == 0.0 and isinstance(res.tail_bound, float)
+            with mpmath.workprec(4 * prec):
+                want = ref.finite.to_mpc(prec)
+                assert abs(v.to_mpc(prec) - want) <= mpmath.mpf(2) ** -(prec - 2) * abs(want)
 
 
 class TestIntegerFormAndRecast:

@@ -14,8 +14,10 @@ from hypersum.numeric_core import (
     PoleError,
     Scalar,
     SphereValue,
+    scalar,
 )
-from hypersum.ramanujan_sum import RamanujanParams, s_direct, s_polynomial
+from hypersum import ramanujan_sum, verifier
+from hypersum.ramanujan_sum import RamanujanParams, recast_params, s_direct, s_polynomial
 from hypersum.verifier import (
     Verdict,
     brute_force_oracle,
@@ -140,6 +142,26 @@ class TestCounterexample:
         rep = counterexample_eq9(F(1, 4), 0)
         assert rep.verdict is Verdict.MISMATCH
         assert abs(rep.lhs.finite.to_mpc(64)) > 0.1
+
+    @pytest.mark.parametrize("alpha,beta", [(F(2, 7), F(3, 5)), (-2, F(1, 3)), (0.75, 0.5)])
+    def test_prefactor_computed_once(self, monkeypatch, alpha, beta):
+        # the 4F3 and 2F1 routes share Gamma(beta+1)/Gamma(m): counterexample_eq9
+        # evaluates it exactly as often as one recast_params call does
+        calls = []
+        prefactor = ramanujan_sum._prefactor
+
+        def counted(*args):
+            calls.append(args)
+            return prefactor(*args)
+
+        # wherever a route might look the prefactor up
+        monkeypatch.setattr(ramanujan_sum, "_prefactor", counted)
+        monkeypatch.setattr(verifier, "_prefactor", counted, raising=False)
+        counterexample_eq9(alpha, beta)
+        in_eq9 = len(calls)
+        calls.clear()
+        recast_params(alpha, beta, scalar(alpha) + beta + 1, 1)
+        assert in_eq9 == len(calls) >= 1
 
 
 class TestSweep:
