@@ -78,7 +78,7 @@ OUTPUT_SCHEMA = {
             "properties": {
                 "decimal": {"type": "string"},
                 "exact": {"type": "string"},
-                "terms_used": {"type": "integer"},
+                "terms_used": {"type": ["integer", "null"]},
                 "tail_bound": {"type": ["number", "integer"]},
                 "classification": {"type": "string"},
                 "experimental": {"type": "boolean"},
@@ -372,13 +372,8 @@ def _point_expectation(pt: dict, verdict: Verdict) -> bool:
 def _cmd_sweep(args, params: dict):
     ctx = _context_from(args)
     points = _load_grid(args.grid, args.mode)
-    params.update(grid=args.grid, points=len(points), jobs=args.jobs or 1,
-                  mode=args.mode)
-    try:
-        reports = sweep(points, ctx, jobs=args.jobs,
-                        rel_tol=_or_default(args.rel_tol, DEFAULT_REL_TOL))
-    except ValueError as exc:  # jobs below 1; points record their own errors
-        raise UsageError(f"argument --jobs: {exc}") from None
+    params.update(grid=args.grid, points=len(points), mode=args.mode)
+    reports = sweep(points, ctx, rel_tol=_or_default(args.rel_tol, DEFAULT_REL_TOL))
 
     def cell(v):
         if v is None:
@@ -454,7 +449,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--grid", required=True,
                          help="JSON grid file (see GRID_SCHEMA)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--jobs", type=int, default=None)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep, command_echo="sweep")
 

@@ -9,8 +9,9 @@ trivially for p <= q.
 Summation strategy by case:
 
 * terminating: the finite sum, exact when all parameters are exact;
-* p <= q: term ratios decay like a power of 1/j, so a geometric bound on
-  the tail applies once the ratio is small and decreasing;
+* p <= q: one mp.hyper call, which sums in fixed point and reruns at a
+  higher precision when it measures cancellation, so the value is right to
+  about the requested precision;
 * p = q+1: the ratio tends to 1 from below and a geometric bound never
   certifies anything useful.  Instead the tail from index N is written as
   t_N * u(N) where u satisfies u(N) = 1 + r(N) u(N+1), and u is expanded in
@@ -80,12 +81,13 @@ class SeriesClassification:
 @dataclass(frozen=True)
 class EvalResult:
     value: SphereValue
-    terms_used: int
+    terms_used: Optional[int]  # None when mp.hyper summed the series
     # Truncation error only.  The int 0 marks an exact value; a terminating
     # sum rounded to float reads 0.0 (real input was summed exactly, so its
-    # one error is the final rounding); other floats are the estimated tail.
-    # On the balanced route that estimate is the difference between two
-    # truncation depths, not a bound: it can read far below the true error.
+    # one error is the final rounding); other floats are estimates.  On the
+    # p <= q route it is mp.hyper's target accuracy 2^-P |value|.  On the
+    # balanced route it is the difference between two truncation depths,
+    # not a bound: it can read far below the true error.
     tail_bound: Union[int, float]
     classification: SeriesClassification
     experimental: bool = False
@@ -145,14 +147,14 @@ class HypParams:
         return f"HypParams([{ns}], [{ds}])"
 
 
-def _balance(params: HypParams) -> Scalar:
-    """Sum of denominator parameters minus sum of numerator parameters."""
-    acc = Scalar.exact(0)
-    for b in params.denominator:
-        acc = acc + b
-    for a in params.numerator:
-        acc = acc - a
-    return acc
+def _balance(params: HypParams, ctx: EvalContext) -> Scalar:
+    """Sum of denominator parameters minus sum of numerator parameters,
+    through exact_first: sqrt(pi) multiples of different powers fall back
+    to float instead of refusing."""
+    def diff(*xs):
+        return SphereValue.of(sum(xs[params.p:], Scalar.exact(0))
+                              - sum(xs[:params.p], Scalar.exact(0)))
+    return exact_first(diff, params.numerator + params.denominator, ctx).finite
 
 
 def classify(params: HypParams, ctx: Optional[EvalContext] = None) -> SeriesClassification:
@@ -162,7 +164,7 @@ def classify(params: HypParams, ctx: Optional[EvalContext] = None) -> SeriesClas
     in exact mode and within abs_tol for float parameters."""
     ctx = ctx or DEFAULT_CONTEXT
     k, tol_dep = params.truncation or (None, False)
-    bal = _balance(params)
+    bal = _balance(params, ctx)
     if bal.is_exact:
         saal = bal == Scalar.exact(1)
     else:
@@ -215,37 +217,37 @@ def _finite_sum_result(value: SphereValue, cls: SeriesClassification) -> EvalRes
     return EvalResult(value, cls.k + 1, 0 if value.finite.is_exact else 0.0, cls)
 
 
-def _sum_geometric(params: HypParams, cls: SeriesClassification,
-                   ctx: EvalContext) -> EvalResult:
-    """p <= q: ratios decay like j^(p-q-1); bound the tail geometrically once
-    the absolute ratio is below 1 and has decreased three times running."""
-    prec_work = ctx.precision + GUARD_BITS
-    with working_precision(prec_work):
-        a_vals = [x.to_mpc(prec_work) for x in params.numerator]
-        b_vals = [x.to_mpc(prec_work) for x in params.denominator]
-        t = mp.mpc(1)
-        acc = mp.mpc(1)
-        streak = 0
-        prev_r = mp.inf
-        for j in range(ctx.max_terms - 1):
-            ratio = _ratio_factors(a_vals, b_vals, j)
-            t = t * ratio
-            acc = acc + t
-            r = abs(ratio)
-            streak = streak + 1 if r < prev_r else 0
-            prev_r = r
-            if r < 1 and streak >= 3:
-                bound = abs(t) * r / (1 - r)
-                if bound <= max(ctx.rel_tol * abs(acc), ctx.abs_tol):
-                    with working_precision(ctx.precision):
-                        val = +acc
-                    return EvalResult(
-                        SphereValue.of(Scalar(val=val, prec=ctx.precision)),
-                        j + 2, float(bound), cls)
-        partial = Scalar(val=acc, prec=prec_work)
-    raise ConvergenceError(
-        f"no certified tail bound within {ctx.max_terms} terms",
-        partial=partial, terms_used=ctx.max_terms)
+def _hyper_arg(x: Scalar, prec: int):
+    """A parameter as mp.hyper takes it: an exact rational as the pair (p, q),
+    which mpmath's summator keeps exact; anything else as an mpc, which
+    mpmath treats as real when its imaginary part is 0, a sqrt(pi) multiple
+    rounded at ``prec`` bits."""
+    if x.is_rational:
+        return x.fraction.numerator, x.fraction.denominator
+    return x.to_mpc(prec)
+
+
+def _sum_hyper(params: HypParams, cls: SeriesClassification,
+               ctx: EvalContext) -> EvalResult:
+    """p <= q: one mp.hyper call at ctx.precision.  Its summator works in
+    fixed point, measures the cancellation and reruns at a higher precision
+    when it finds some, so the value is rounded to P bits and tail_bound
+    is 2^-P |value|, the target accuracy (never 0.0).  mpmath does not say
+    how many terms it summed, so terms_used is None."""
+    prec = ctx.precision
+    nums = [_hyper_arg(x, prec + GUARD_BITS) for x in params.numerator]
+    dens = [_hyper_arg(x, prec + GUARD_BITS) for x in params.denominator]
+    with working_precision(prec):
+        try:
+            val = mp.mpc(mp.hyper(nums, dens, 1, maxterms=ctx.max_terms))
+        except (mp.NoConvergence, ValueError):
+            # NoConvergence: maxterms ran out; ValueError: the cancellation
+            # needs more than mpmath's maxprec
+            raise ConvergenceError(
+                f"mp.hyper did not reach {prec} bits within {ctx.max_terms} terms",
+                terms_used=ctx.max_terms) from None
+        bound = max(float(mp.ldexp(abs(val), -prec)), math.ulp(0.0))
+    return EvalResult(SphereValue.of(Scalar(val=val, prec=prec)), None, bound, cls)
 
 
 def _ratio_series(a_vals, b_vals, length, mul=operator.mul, one=1):
@@ -413,9 +415,10 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     Terminating series are summed by pochhammer_sum through exact_first:
     exactly whenever every parameter is real (a float as the exact rational
     it is, the sum rounded once to ctx.precision), in float with guard bits
-    for complex parameters.  Convergent series are summed in float mode at
-    ctx.precision until the estimated tail drops below
-    max(rel_tol * |partial|, abs_tol).  Divergent input is refused.
+    for complex parameters.  Convergent p <= q series go to mp.hyper at
+    ctx.precision; balanced p = q+1 series are summed in float mode until
+    the estimated tail drops below max(rel_tol * |partial|, abs_tol).
+    Divergent input is refused.
     """
     cls = classify(params, ctx)
     if cls.kind is SeriesKind.DIVERGENT:
@@ -427,7 +430,7 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
             params.numerator + params.denominator, ctx)
         return _finite_sum_result(value, cls)
     if params.p <= params.q:
-        return _sum_geometric(params, cls, ctx)
+        return _sum_hyper(params, cls, ctx)
     return _sum_balanced(params, cls, ctx)
 
 

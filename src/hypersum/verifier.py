@@ -49,11 +49,12 @@ __all__ = [
 ]
 
 # Float gammas are right to a few units in the last place at every
-# precision, and real float input to a terminating sum is summed exactly and
-# rounded once, so cancellation costs no digits there.  The slack is for the
-# nonterminating series routes, which stop on an estimated (not bounded)
-# tail of EvalContext.rel_tol (1e-12 by default).  Reports record the
-# tolerance actually used.
+# precision, real float input to a terminating sum is summed exactly and
+# rounded once, and mp.hyper sums p <= q series to about the working
+# precision, so cancellation costs no digits there.  The slack is for the
+# balanced pFq and S routes, which stop on an estimated (not bounded) tail
+# of EvalContext.rel_tol (1e-12 by default).  Reports record the tolerance
+# actually used.
 DEFAULT_REL_TOL = 1e-9
 
 # relative agreement required of counterexample_eq9's three routes to S(1)

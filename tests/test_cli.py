@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import pytest
 
 from hypersum.cli import GRID_SCHEMA, OUTPUT_SCHEMA, main
@@ -52,6 +53,24 @@ class TestEval:
         assert code == 0
         assert abs(float(rec["result"]["decimal"]) - 2) < 1e-10
         jsonschema.validate(rec, OUTPUT_SCHEMA)
+
+    def test_pfq_p_le_q_prints_every_digit_right(self, capsys):
+        # 1F1(1/3; 5/2; 1) goes to mp.hyper, which reports no term count.
+        # The value lies in [1, 10), so the last printed digit is worth
+        # 10^-d with d digits after the point; a 1024-bit value correctly
+        # rounded to them is off by at most half of that, plus 2^-1024.
+        code, rec = run(capsys, ["eval", "pfq", "--num=1/3", "--den=5/2",
+                                 "--precision=1024"])
+        assert code == 0
+        assert rec["result"]["terms_used"] is None
+        jsonschema.validate(rec, OUTPUT_SCHEMA)
+        decimal = rec["result"]["decimal"]
+        d = len(decimal.split(".")[1])
+        assert d >= 300
+        with mpmath.workprec(2100):
+            ref = mpmath.hyp1f1(mpmath.mpf(1) / 3, mpmath.mpf(5) / 2, 1)
+            err = abs(mpmath.mpf(decimal) - ref)
+            assert err <= mpmath.mpf(10) ** -d / 2 + ref * mpmath.mpf(2) ** -1024
 
     def test_exact_rational_roundtrip(self, capsys):
         code, rec = run(capsys, ["eval", "ramanujan", "--alpha=-3",
@@ -243,8 +262,7 @@ class TestSweep:
                         "z": [0, 1]},
         })
         out = str(tmp_path / "out.csv")
-        code, rec = run(capsys, ["sweep", "--grid", grid, "--out", out,
-                                 "--jobs", "2"])
+        code, rec = run(capsys, ["sweep", "--grid", grid, "--out", out])
         assert code == 0
         assert rec["summary"]["ExactMatch"] == 5
         assert rec["summary"]["unexpected"] == 0
@@ -303,7 +321,7 @@ class TestSweep:
                      str(tmp_path / "out.csv"), "--mode=float"])
         assert_one_line_error(capsys, code)
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_jobs_below_one_exits_1(self, capsys, tmp_path, jobs):
         grid = self.write_grid(tmp_path, {
             "points": [{"k": 1, "beta": "1/2", "m": "1/3", "z": 1}]})

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hypersum.numeric_core import (
     Scalar,
     SphereValue,
     exact_first,
+    pochhammer_sum,
 )
 
 F = Fraction
@@ -431,3 +433,130 @@ class TestRefusals:
             pfq([F(1, 4), F(1, 4)], [1], ctx)
         assert exc.value.partial is not None
         assert exc.value.terms_used <= 40
+
+
+def _exact_partial_sum(nums, dens, prec):
+    """A Fraction partial sum S_N of a rational p <= q series at 1 that is
+    within 2^-(prec+8) |S_N| of the full sum.  From J0 = ceil(8 (sum |a| +
+    sum |b|)) + 2 on, every factor is positive and d/dj log|t_{j+1}/t_j| < 0
+    (each pair's 1/(a+j) - 1/(b+j) is at most 4|b-a|/j^2), so the
+    ratios r_j decrease and the tail after t_N is at most |t_N| r_N / (1 - r_N)
+    once r_N < 1.  N is first chosen in floats, then doubled until the exact
+    bound holds."""
+    # term j is prod (a)_j / (prod (b)_j j!)
+    num, den = [(a, 0, 0, 1) for a in nums], [(b, 1) for b in dens] + [(1, 1)]
+    j0 = math.ceil(8 * sum(abs(F(x)) for x in (*nums, *dens))) + 2
+    n, t, s = 0, mp.mpf(1), mp.mpf(1)
+    with mp.workprec(64):
+        while True:
+            ratio = mp.fprod(_mp(a) + n for a in nums) / (
+                (n + 1) * mp.fprod(_mp(b) + n for b in dens))
+            if n >= j0 and abs(ratio) < mp.mpf(1) / 2 and \
+                    abs(t) < mp.ldexp(abs(s), -(prec + 12)):
+                break
+            t *= ratio
+            s += t
+            n += 1
+    while True:
+        total = pochhammer_sum([1] * (n + 1), num, den).fraction
+        t_n = pochhammer_sum([1], num, den, n).fraction
+        r = abs(math.prod(a + n for a in nums)
+                / ((n + 1) * math.prod(b + n for b in dens)))
+        if r < 1 and abs(t_n) * r / (1 - r) < abs(total) / 2 ** (prec + 8):
+            return total
+        n *= 2
+
+
+def _bits_off(value, ref, prec):
+    """-log2 of the relative error of the float Scalar ``value`` against the mp
+    number ``ref``, at 2*prec+40 bits."""
+    with mp.workprec(2 * prec + 40):
+        return float(-mpmath.log(abs(value.to_mpc(2 * prec + 40) - ref) / abs(ref), 2))
+
+
+# a p <= q parameter: denominators up to 9, negative non-integers allowed
+HYPER_PARAM = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(
+    lambda x: x.denominator != 1 or x > 0)
+
+
+class TestHyperRoute:
+    """Nonterminating p <= q series go to one mp.hyper call at the working
+    precision and are right to about that precision."""
+
+    @pytest.mark.parametrize("prec", [53, 256, 1024])
+    @pytest.mark.parametrize("nums,dens", [
+        pytest.param([F(1, 3)], [F(5, 2)], id="1f1"),
+        pytest.param([40], [F(1, 3)], id="1f1_large_numerator"),
+        pytest.param([F(-41, 3)], [F(1, 3)], id="1f1_negative"),
+        pytest.param([F(-201, 2)], [F(3, 2)], id="1f1_cancelling"),
+        pytest.param([], [F(7, 3)], id="0f1"),
+    ])
+    def test_right_to_precision(self, nums, dens, prec):
+        r = pfq(nums, dens, EvalContext(precision=prec))
+        assert r.classification.kind is SeriesKind.CONVERGENT
+        assert r.value.finite.prec == prec
+        total = _exact_partial_sum(nums, dens, prec)
+        with mp.workprec(2 * prec + 40):
+            ref = _mp(total)
+        assert _bits_off(r.value.finite, ref, prec) >= prec - 4
+
+    @given(st.integers(min_value=0, max_value=3).flatmap(
+               lambda q: st.tuples(st.lists(HYPER_PARAM, max_size=q),
+                                   st.lists(HYPER_PARAM, min_size=q, max_size=q))),
+           st.sampled_from([53, 256]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_partial_sum(self, params, prec):
+        nums, dens = params
+        r = pfq(nums, dens, EvalContext(precision=prec))
+        total = _exact_partial_sum(nums, dens, prec)
+        with mp.workprec(2 * prec + 40):
+            ref = _mp(total)
+        assert _bits_off(r.value.finite, ref, prec) >= prec - 4
+
+    @pytest.mark.parametrize("prec", [53, 256, 1024])
+    def test_complex_1f1_meets_kummer(self, prec):
+        # 1F1(a; b; 1) = e 1F1(b-a; b; -1), an alternating series
+        a, b = 0.3 + 2.5j, 1.5 - 1j
+        r = pfq([a], [b], EvalContext(precision=prec))
+        with mp.workprec(2 * prec + 40):
+            ref = mp.e * mp.hyp1f1(mp.mpc(b) - mp.mpc(a), mp.mpc(b), -1)
+        assert _bits_off(r.value.finite, ref, prec) >= prec - 4
+
+    def test_result_fields(self):
+        r = pfq([F(1, 3)], [F(5, 2)], EvalContext(precision=128))
+        assert r.terms_used is None
+        with mp.workprec(128):
+            assert r.tail_bound == float(mp.ldexp(abs(r.value.finite.to_mpc(128)), -128))
+
+    def test_tail_bound_never_zero(self):
+        # 2^-P |value| underflows a double at P = 2000; the floor is ulp(0.0)
+        r = pfq([F(1, 3)], [F(5, 2)], EvalContext(precision=2000))
+        assert r.tail_bound == math.ulp(0.0)
+
+    def test_budget_exhaustion_refused(self):
+        with pytest.raises(ConvergenceError, match="within 3 terms") as exc:
+            pfq([], [F(1, 2)], EvalContext(max_terms=3))
+        assert exc.value.terms_used == 3 and exc.value.partial is None
+
+
+_SQRTPI_3_7 = Scalar.exact_sqrtpi(F(3, 7))
+
+
+class TestSqrtPiParameters:
+    """An exact sqrt(pi) multiple cannot join an exact balance with
+    rationals, so classify falls back to float through exact_first and the
+    series is summed in float."""
+
+    @pytest.mark.parametrize("nums,dens,bits", [
+        pytest.param([-2, _SQRTPI_3_7], [F(5, 4)], 124, id="terminating"),
+        pytest.param([_SQRTPI_3_7], [F(5, 4)], 124, id="hyper"),
+        pytest.param([_SQRTPI_3_7, F(1, 3)], [F(9, 4)], 100, id="balanced"),
+    ])
+    def test_against_mp_hyper(self, nums, dens, bits):
+        r = pfq(nums, dens, EvalContext(precision=128))
+        with mp.workprec(300):
+            args = [x.to_mpc(300) if isinstance(x, Scalar) else _mp(F(x))
+                    for x in nums + dens]
+            ref = mp.hyper(args[:len(nums)], args[len(nums):], 1)
+            err = abs(r.value.finite.to_mpc(300) - ref) / abs(ref)
+        assert err <= mp.mpf(2) ** -bits, float(mpmath.log(err, 2))
