@@ -11,6 +11,7 @@ from typing import Optional
 from .numeric_core import (
     DEFAULT_CONTEXT,
     EvalContext,
+    InvalidParametersError,
     Scalar,
     SphereValue,
     exact_first,
@@ -65,9 +66,9 @@ def pochhammer_multiplication_split(base, n: int, j: int) -> Scalar:
     hypergeometric parameters.
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidParametersError("n must be a positive integer")
     if j < 0:
-        raise ValueError("j must be a nonnegative integer")
+        raise InvalidParametersError("j must be a nonnegative integer")
     base = scalar(base)
     return pochhammer_sum([n ** (n * j)], [((base + i) / n, 0, j, 0) for i in range(n)])
 
@@ -84,7 +85,7 @@ def askey_ismail_validity(a, d) -> bool:
 def askey_ismail_lhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """4F3(a/2, (a+1)/2, -k, c; d/2, (d+1)/2, -k+a+c+1-d; 1), terminating."""
     if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+        raise InvalidParametersError("k must be a nonnegative integer")
     a, c, d = scalar(a), scalar(c), scalar(d)
     params = HypParams(
         (a / 2, (a + 1) / 2, Scalar.exact(-k), c),
@@ -97,7 +98,7 @@ def askey_ismail_rhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> Eva
     """(d-a)_k (d-c)_k / ((d-a-c)_k (d)_k) times 3F2(-k, a, c; k+d, d-c; 1).
     The prefactor goes through exact_first, as the terminating 3F2 does."""
     if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+        raise InvalidParametersError("k must be a nonnegative integer")
     a, c, d = scalar(a), scalar(c), scalar(d)
 
     def prefactor(a, c, d):  # one term, j = 1: a vanishing denominator raises PoleError
@@ -118,7 +119,7 @@ def terminating_2f1_limit(k: int, a) -> Scalar:
     finite Pochhammer ratio instead.
     """
     if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+        raise InvalidParametersError("k must be a nonnegative integer")
     if k == 0:
         return Scalar.exact(1)
     a = scalar(a)

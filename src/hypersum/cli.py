@@ -348,8 +348,12 @@ def _load_grid(path: str, mode: str) -> List[dict]:
     def point(items):
         return {key: convert(key, val) for key, val in items}
 
-    points = [point(pt.items()) for pt in doc.get("points", [])]
-    prod = doc.get("product")
+    pts, prod = doc.get("points", []), doc.get("product", {})
+    if not (isinstance(pts, list) and all(isinstance(pt, dict) for pt in pts)):
+        raise UsageError("grid points must be a list of objects; see GRID_SCHEMA")
+    if not (isinstance(prod, dict) and all(isinstance(v, list) for v in prod.values())):
+        raise UsageError("grid product must be an object of lists; see GRID_SCHEMA")
+    points = [point(pt.items()) for pt in pts]
     if prod:
         keys = sorted(prod)
         points += [point(zip(keys, combo))

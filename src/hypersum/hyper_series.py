@@ -19,10 +19,11 @@ Summation strategy by case:
   system and do not depend on N, so the cutoff can be doubled cheaply until
   two truncation depths of the correction agree.  r and every column of
   the system are products of linear factors (1 + c/N)^{+-1}, each applied
-  as a first-order recurrence, so the build costs O(depth^2).  With real
-  rational parameters (real floats as dyadic rationals) this case runs on
-  integers over their common denominator D, scaled by 2^W with
-  W = precision + 40; complex parameters and sqrt(pi) multiples run in mpc.
+  as a first-order recurrence, so the build costs O(depth^2).  One engine
+  does all of this in one of two arithmetics at W = precision + 40 bits:
+  integers scaled by 2^W for real rational parameters (real floats as
+  dyadic rationals), kept over their common denominator, and mpc for
+  complex parameters and sqrt(pi) multiples.
 """
 
 from __future__ import annotations
@@ -193,17 +194,6 @@ def term(params: HypParams, j: int) -> Scalar:
     return _terms(params.numerator, params.denominator, j, j)
 
 
-def _ratio_factors(a_vals, b_vals, j):
-    """Term ratio t_{j+1}/t_j as raw mp numbers."""
-    num = mp.mpf(1)
-    for a in a_vals:
-        num = num * (a + j)
-    den = mp.mpf(j + 1)
-    for b in b_vals:
-        den = den * (b + j)
-    return num / den
-
-
 def _terms(nums, dens, first: int, last: int) -> Scalar:
     """Terms first..last of the series, term j being prod (a)_j / (prod (b)_j j!),
     summed by pochhammer_sum."""
@@ -250,10 +240,10 @@ def _sum_hyper(params: HypParams, cls: SeriesClassification,
     return EvalResult(SphereValue.of(Scalar(val=val, prec=prec)), None, bound, cls)
 
 
-def _ratio_series(a_vals, b_vals, length, mul=operator.mul, one=1):
-    """Coefficients of prod(1 + a_i x) / prod(1 + b_j x) to ``length`` terms:
-    the term ratio r(x), x = 1/N, when b_vals ends in 1.  The fixed-point
-    route passes values scaled by ``one`` = 2^W and the matching ``mul``.
+def _ratio_series(a_vals, b_vals, length, mul, one):
+    """Coefficients of prod(1 + a_i x) / prod(1 + b_j x) to ``length`` terms,
+    in the arithmetic (one, mul) of _balanced: the term ratio r(x), x = 1/N,
+    when b_vals ends in ``one``.
 
     Each linear factor is one first-order recurrence on the truncated
     series: multiplying by (1 + c x) is r[t] += c r[t-1] with t descending,
@@ -269,16 +259,16 @@ def _ratio_series(a_vals, b_vals, length, mul=operator.mul, one=1):
     return r
 
 
-def _tail_coefficients(r, depth, div=operator.truediv, one=1):
-    """Solve for u(N) ~ c_{-1} N + c_0 + c_1/N + ... from u = 1 + r u(N+1).
+def _tail_coefficients(r, depth, div, one):
+    """Solve for u(N) ~ c_{-1} N + c_0 + c_1/N + ... from u = 1 + r u(N+1),
+    in the arithmetic (one, div) of _balanced.
 
     Substituting the ansatz and collecting powers of x = 1/N gives a lower
     triangular system.  The x^0 equation pins c_{-1} = 1/s with
     s = sum(den) - sum(num) (the convergence abscissa), and each higher
     order determines one further coefficient.  Column k of the system needs
     r(x) (1+x)^{-k}; one running copy is divided by (1 + x) per column, so
-    the whole build costs O(depth^2).  The fixed-point route passes r scaled
-    by ``one`` = 2^W and floor division as ``div``.
+    the whole build costs O(depth^2).
     """
     em1 = [-(r[t + 1] + r[t]) for t in range(depth + 1)]
     es = []
@@ -301,56 +291,29 @@ def _tail_coefficients(r, depth, div=operator.truediv, one=1):
     return cm1, cs
 
 
-def _tail_u(n, cm1, cs):
-    x = mp.mpf(1) / n
-    u = cm1 * n
-    xp = mp.mpc(1)
-    for c in cs:
-        u += c * xp
-        xp *= x
-    return u
-
-
-def _tail_u_fixed(n, cm1, cs):
+def _tail_u(n, cm1, cs, div):
+    """u(N) = c_{-1} N + sum_k c_k N^-k."""
     u, scale = cm1 * n, 1
     for c in cs:
-        u += c // scale
+        u += div(c, scale)
         scale *= n
     return u
 
 
-def _balanced_mpc(vals, p: int, n: int, depth: int):
-    """Yields (N, sum plus tail, |t_N (u_hi - u_lo)|) for the mpc parameters
-    ``vals`` (numerators first, p of them) from N = n on, N doubling."""
-    a_vals, b_vals = vals[:p], vals[p:]
-    r = _ratio_series(a_vals, b_vals + [mp.mpc(1)], depth + 2)
-    cm1, cs = _tail_coefficients(r, depth)
-    acc, t, done = mp.mpc(0), mp.mpc(1), 0
-    while True:
-        for j in range(done, n):
-            acc = acc + t
-            t = t * _ratio_factors(a_vals, b_vals, j)
-        done = n
-        u_hi = _tail_u(n, cm1, cs)
-        u_lo = _tail_u(n, cm1, cs[:-4])
-        yield n, acc + t * u_hi, abs(t * (u_hi - u_lo))
-        n *= 2
+def _balanced(ints, d: int, p: int, n: int, depth: int, one, mul, div, value):
+    """Yields (N, sum plus tail, |t_N (u_hi - u_lo)|) for the parameters
+    ints[i] / d (numerators first, p of them) from N = n on, N doubling.
 
-
-def _balanced_fixed(fracs, p: int, n: int, depth: int):
-    """What _balanced_mpc yields, as exact mpf, for rationals ``fracs`` = A/D:
-    values are integers scaled by 2^w, w the working precision, and a term
-    step is t * prod(A_i + jD) // (D (j+1) prod(B_k + jD)).  The tail build
-    takes each parameter rounded to a multiple of 2^-w, so that its integers
-    stay near w bits however large D is."""
-    w, one = mp.prec, 1 << mp.prec
-    d = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (d // f.denominator) for f in fracs]
+    The arithmetic is (one, mul, div, value): 1, the product and quotient
+    of two numbers, and the mpf a number stands for.  The term step is
+    t = div(t prod(A_i + jD), D (j+1) prod(B_k + jD)).  The tail build takes
+    each parameter as div(A one, D): in integers, rounded to a multiple of
+    2^-W, so that its integers stay near W bits however large D is.
+    """
     nums, dens = ints[:p], ints[p:]
-    fixed = [(x << w) // d for x in ints]
-    r = _ratio_series(fixed[:p], fixed[p:] + [one], depth + 2,
-                      lambda x, y: x * y >> w, one)
-    cm1, cs = _tail_coefficients(r, depth, operator.floordiv, one)
+    fixed = [div(x * one, d) for x in ints]
+    r = _ratio_series(fixed[:p], fixed[p:] + [one], depth + 2, mul, one)
+    cm1, cs = _tail_coefficients(r, depth, div, one)
     acc, t, done = 0, one, 0
     while True:
         for j in range(done, n):
@@ -360,12 +323,11 @@ def _balanced_fixed(fracs, p: int, n: int, depth: int):
                 num *= a + jd
             for b in dens:
                 den *= b + jd
-            t = t * num // den
+            t = div(t * num, den)
         done = n
-        u_hi = _tail_u_fixed(n, cm1, cs)
-        u_lo = _tail_u_fixed(n, cm1, cs[:-4])
-        yield (n, mp.make_mpf(from_man_exp((acc << w) + t * u_hi, -2 * w)),
-               mp.make_mpf(from_man_exp(abs(t * (u_hi - u_lo)), -2 * w)))
+        u_hi = _tail_u(n, cm1, cs, div)
+        u_lo = _tail_u(n, cm1, cs[:-4], div)
+        yield n, value(acc * one + t * u_hi), value(abs(t * (u_hi - u_lo)))
         n *= 2
 
 
@@ -373,9 +335,11 @@ def _sum_balanced(params: HypParams, cls: SeriesClassification,
                   ctx: EvalContext) -> EvalResult:
     """p = q+1 at unit argument: partial sum to N plus the asymptotic tail
     correction t_N u(N), doubling N until two truncation depths agree.
-    Real rational parameters (real floats as their dyadic rationals) are
-    summed in integers over D scaled by 2^W, W = ctx.precision + 40, and
-    others in mpc at W bits; only the stop test and the rounding use mpf.
+    One engine, _balanced, works at W = ctx.precision + 40 bits in one of
+    two arithmetics: integers scaled by 2^W, with real rational parameters
+    (real floats as their dyadic rationals) over their common denominator D,
+    or mpc for complex parameters and sqrt(pi) multiples, over D = 1.  Only
+    the stop test and the rounding use mpf.
 
     tail_bound is |t_N (u_hi - u_lo)|, where u_lo drops the last four of the
     18 expansion coefficients that u_hi uses, floored at 2^-W |sum|, the
@@ -388,13 +352,18 @@ def _sum_balanced(params: HypParams, cls: SeriesClassification,
     exact = [_dyadic(x) for x in params.numerator + params.denominator]
     with working_precision(prec_work):
         if all(x is not None and x.is_rational for x in exact):
-            vals, balanced = [x.fraction for x in exact], _balanced_fixed
+            vals = [x.fraction for x in exact]
+            w = prec_work
+            d = math.lcm(*(f.denominator for f in vals))
+            ints = [f.numerator * (d // f.denominator) for f in vals]
+            arith = (1 << w, lambda x, y: x * y >> w, operator.floordiv,
+                     lambda x: mp.make_mpf(from_man_exp(x, -2 * w)))
         else:
-            vals = [x.to_mpc(prec_work) for x in params.numerator + params.denominator]
-            balanced = _balanced_mpc
+            vals = ints = [x.to_mpc(prec_work) for x in params.numerator + params.denominator]
+            d, arith = 1, (1, operator.mul, operator.truediv, operator.pos)
         # the first N, past where the largest parameter still shapes the terms
         n = min(max(64, int(4 * max([abs(v) for v in vals] + [1])) + 16), ctx.max_terms)
-        for n, total, err in balanced(vals, params.p, n, depth):
+        for n, total, err in _balanced(ints, d, params.p, n, depth, *arith):
             if err <= max(ctx.rel_tol * abs(total), ctx.abs_tol):
                 bound = max(err, mp.ldexp(abs(total), -prec_work))
                 with working_precision(ctx.precision):
@@ -416,8 +385,8 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     exactly whenever every parameter is real (a float as the exact rational
     it is, the sum rounded once to ctx.precision), in float with guard bits
     for complex parameters.  Convergent p <= q series go to mp.hyper at
-    ctx.precision; balanced p = q+1 series are summed in float mode until
-    the estimated tail drops below max(rel_tol * |partial|, abs_tol).
+    ctx.precision; balanced p = q+1 series by _sum_balanced until the
+    estimated tail drops below max(rel_tol * |partial|, abs_tol).
     Divergent input is refused.
     """
     cls = classify(params, ctx)

@@ -417,7 +417,7 @@ def s_polynomial(k: int, beta, m) -> PolynomialInZ:
     z-coefficient vanishes and the constant term is (beta+1-m-k)_k.
     """
     if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+        raise InvalidParametersError("k must be a nonnegative integer")
     beta, m = scalar(beta), scalar(m)
     if not (beta.is_rational and m.is_rational):
         raise UnsupportedExactError("polynomial expansion needs rational beta, m")
@@ -451,7 +451,7 @@ def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
     if n < 1:
         raise InvalidParametersError("inner_sum_E needs n >= 1")
     if r < 0:
-        raise ValueError("r must be a nonnegative integer")
+        raise InvalidParametersError("r must be a nonnegative integer")
 
     def alternating_sum(m):
         return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + r, 0, 0, n)],
@@ -470,7 +470,7 @@ def finite_difference_check(m, n: int, r: int,
     if n < 1:
         raise InvalidParametersError("finite_difference_check needs n >= 1")
     if r < 1:
-        raise ValueError("r must be a positive integer")
+        raise InvalidParametersError("r must be a positive integer")
 
     def alternating_sum(m):
         return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + 1, n, r - 1, 0)]))

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,14 +21,14 @@ def run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
-def assert_one_line_error(capsys, code):
+def assert_one_line_error(capsys, code, prefix="hypersum: error:"):
     """The documented usage failure: exit 1, nothing on stdout and one
-    ``hypersum: error:`` line on stderr, which is returned."""
+    line on stderr that starts with ``prefix``, which is returned."""
     captured = capsys.readouterr()
     assert code == 1
     assert not captured.out
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("hypersum: error:")
+    assert len(lines) == 1 and lines[0].startswith(prefix)
     return lines[0]
 
 
@@ -242,6 +244,14 @@ class TestVerify:
         assert code == 3
         assert "error" in rec
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "inner-sum", "--m=1/3", "--n=2", "--r=-1"],
+        ["verify", "finite-diff", "--m=1/3", "--n=2", "--r=0"],
+        ["verify", "askey-ismail", "--num=1/2,1/3", "--den=5/2", "--k=-1"],
+    ])
+    def test_out_of_range_integer_exits_1(self, capsys, argv):
+        assert_one_line_error(capsys, main(argv), "hypersum: invalid parameters:")
+
     def test_missing_flags_exit_1(self, capsys):
         assert main(["verify", "theorem", "--k=2"]) == 1
         assert main(["verify", "askey-ismail", "--num=1", "--den=3",
@@ -342,6 +352,21 @@ class TestSweep:
         assert "grid value for k" in assert_one_line_error(capsys, code)
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"points": "abc"},
+        {"points": [1, 2]},
+        {"product": {"k": 3}},
+        {"product": [1]},
+    ])
+    def test_malformed_grid_shape_exits_1(self, capsys, tmp_path, spec):
+        # written without write_grid: none of these fit GRID_SCHEMA
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--grid", str(grid), "--out", str(out)])
+        assert "GRID_SCHEMA" in assert_one_line_error(capsys, code)
+        assert not out.exists()
+
     def test_integer_string_k(self, capsys, tmp_path):
         grid = self.write_grid(tmp_path, {
             "points": [{"k": "2", "beta": "1/2", "m": "1/3", "z": 4}]})
@@ -400,6 +425,36 @@ class TestUsage:
         monkeypatch.setenv("HYPERSUM_PRECISION", "abc")
         code = main(["eval", "pfq", "--num=1/3,1/4", "--den=25/12"])
         assert "HYPERSUM_PRECISION" in assert_one_line_error(capsys, code)
+
+
+def _readme_examples():
+    """Every ``hypersum ...`` line of README.md's sh blocks, and the README's
+    own sweep grid (its json block with a "points" key)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w*)\n(.*?)```", text, re.S)
+    commands = [line for lang, body in blocks if lang == "sh"
+                for line in body.splitlines() if line.startswith("hypersum ")]
+    grid = next(json.loads(body) for lang, body in blocks
+                if lang == "json" and '"points"' in body)
+    return commands, grid
+
+
+_README_COMMANDS, _README_GRID = _readme_examples()
+
+
+@pytest.mark.parametrize("command", _README_COMMANDS)
+def test_readme_example_runs(capsys, tmp_path, command):
+    argv = shlex.split(command)[1:]
+    if argv[0] == "sweep":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(_README_GRID))
+        argv = [str(grid) if a == "grid.json" else
+                str(tmp_path / a) if a == "results.csv" else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    jsonschema.validate(json.loads(captured.out), OUTPUT_SCHEMA)
 
 
 def test_closed_stdout_exits_1_quietly():

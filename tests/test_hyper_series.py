@@ -329,7 +329,7 @@ class TestFixedPointRoute:
         err = _closed_form_error(r, _GAUSS, nums, dens, 1024)
         assert err <= mp.mpf(2) ** -100, float(mpmath.log(err, 2))
 
-    @pytest.mark.parametrize("prec,bits", [(53, 50), (256, 100)])
+    @pytest.mark.parametrize("prec,bits", [(53, 50), (256, 100), (1024, 100)])
     def test_complex_parameters_meet_gauss(self, prec, bits):
         nums, dens = [1 / 3 + 0.5j, 0.25 - 1j / 3], [2.5 + 1j / 7]
         r = pfq(nums, dens, EvalContext(precision=prec))
