@@ -14,6 +14,7 @@ from .numeric_core import (
     InvalidParametersError,
     Scalar,
     SphereValue,
+    checked_count,
     exact_first,
     gamma_ratio,
     pochhammer,
@@ -84,8 +85,7 @@ def askey_ismail_validity(a, d) -> bool:
 
 def askey_ismail_lhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """4F3(a/2, (a+1)/2, -k, c; d/2, (d+1)/2, -k+a+c+1-d; 1), terminating."""
-    if k < 0:
-        raise InvalidParametersError("k must be a nonnegative integer")
+    checked_count("k", k, ctx)
     a, c, d = scalar(a), scalar(c), scalar(d)
     params = HypParams(
         (a / 2, (a + 1) / 2, Scalar.exact(-k), c),
@@ -97,8 +97,7 @@ def askey_ismail_lhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> Eva
 def askey_ismail_rhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
     """(d-a)_k (d-c)_k / ((d-a-c)_k (d)_k) times 3F2(-k, a, c; k+d, d-c; 1).
     The prefactor goes through exact_first, as the terminating 3F2 does."""
-    if k < 0:
-        raise InvalidParametersError("k must be a nonnegative integer")
+    checked_count("k", k, ctx)
     a, c, d = scalar(a), scalar(c), scalar(d)
 
     def prefactor(a, c, d):  # one term, j = 1: a vanishing denominator raises PoleError

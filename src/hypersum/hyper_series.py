@@ -47,6 +47,7 @@ from .numeric_core import (
     Scalar,
     SphereValue,
     _dyadic,
+    checked_count,
     exact_first,
     pochhammer_sum,
     scalar,
@@ -384,7 +385,8 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     Terminating series are summed by pochhammer_sum through exact_first:
     exactly whenever every parameter is real (a float as the exact rational
     it is, the sum rounded once to ctx.precision), in float with guard bits
-    for complex parameters.  Convergent p <= q series go to mp.hyper at
+    for complex parameters; one that ends past k = ctx.max_terms is refused
+    with InvalidParametersError.  Convergent p <= q series go to mp.hyper at
     ctx.precision; balanced p = q+1 series by _sum_balanced until the
     estimated tail drops below max(rel_tol * |partial|, abs_tol).
     Divergent input is refused.
@@ -394,6 +396,7 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
         raise DivergentSeriesError(
             f"refusing to sum a {cls.kind.value} series at unit argument", cls)
     if cls.kind is SeriesKind.TERMINATING:
+        checked_count("the terminating index k", cls.k, ctx)
         value = exact_first(
             lambda *xs: SphereValue.of(_terms(xs[:params.p], xs[params.p:], 0, cls.k)),
             params.numerator + params.denominator, ctx)

@@ -566,6 +566,19 @@ class EvalContext:
 DEFAULT_CONTEXT = EvalContext()
 
 
+def checked_count(name: str, value: int, ctx: EvalContext, positive: bool = False) -> int:
+    """value, a count of terms or factors the caller loops over, if it is
+    nonnegative (positive when asked) and at most ctx.max_terms; otherwise
+    InvalidParametersError, before anything is allocated or summed."""
+    if value < int(positive):
+        kind = "positive" if positive else "nonnegative"
+        raise InvalidParametersError(f"{name} must be a {kind} integer")
+    if value > ctx.max_terms:
+        raise InvalidParametersError(
+            f"{name} = {value} is more than max_terms = {ctx.max_terms}")
+    return value
+
+
 def _dyadic(x: Scalar) -> Optional[Scalar]:
     """The exact value of ``x``: itself when exact, the dyadic rational of a
     real finite float, None for a complex or non-finite float."""

@@ -14,8 +14,9 @@ Gamma(beta+1-m)/Gamma(alpha+beta+1-m) = (beta+1-m-k)_k, and it is
 independent of z.  For nonterminating alpha the closed form generally
 fails; only z = 0 (with convergence) is covered.  Nonnegative integer z is
 summed as a balanced hypergeometric series; any other z is summed directly
-up to a cutoff N and completed by an asymptotic tail in Hurwitz zeta
-values, and those results are marked experimental.
+up to a cutoff N and completed by an Euler-Maclaurin tail, the Hurwitz zeta
+values zeta(2+k, N) at the integer N folded into one power series in 1/N,
+and those results are marked experimental.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .numeric_core import (
     SphereValue,
     UnsupportedExactError,
     _near_nonpositive_int,
+    checked_count,
     exact_first,
     gamma_ratio,
     pochhammer,
@@ -156,7 +158,7 @@ def _signed_binomials(n: int, first: int = 0) -> list:
 
 
 def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
-    k = p.terminating_k
+    k = checked_count("k", p.terminating_k, ctx)
 
     def direct_sum(beta, m, z):
         # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
@@ -173,7 +175,7 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
 
 def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     """Nonterminating alpha with non-integer z: N direct terms with float
-    gammas, plus an asymptotic tail in Hurwitz zeta values.
+    gammas, plus an Euler-Maclaurin tail, one power series in 1/N.
 
     Outside the ground the closed form is known to cover, hence flagged
     experimental.  Written with (alpha)_j/j! = Gamma(j+alpha)/(Gamma(alpha)
@@ -182,19 +184,36 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     (z+1; m, alpha+beta+1) and (1; alpha, 1), whose exponents b-c sum to
     -2.  The terms j < N are summed directly; the rest is
     C sum_k e_k zeta(2+k, N), with C the powers of sigma over Gamma(alpha)
-    and e_k from _gamma_ratio_expansion.  Tail terms are added until one falls
-    below 2^-(P+30) of |S|, abs_tol standing in for |S| near 0; a tail not
-    settled by depth 0.6 (P+30) raises ConvergenceError, as does N above
-    max_terms, before any term is summed.  N grows with P and with 1/|z|,
-    so that the expansion converges fast from N on; for real z every gamma
-    argument past N has a positive real part, so no pole lies in the tail.  Re z <= 0 is refused: the expansion does not
-    hold there, and the direct terms run first so that a pole or the
-    divergence guard names where the series breaks down.
+    and e_k from _gamma_ratio_expansion.  At the integer N, Euler-Maclaurin
+    gives zeta(s, N) = N^(1-s)/(s-1) + N^-s/2
+    + sum_i B_2i/(2i)! (s)_(2i-1) N^(1-s-2i), and folded over k the tail is
+    C sum_n c_n N^-(n+1) with
+    c_n = e_n/(n+1) + e_(n-1)/2 + sum_i B_2i/(2i)! (n-2i+2)_(2i-1) e_(n-2i),
+    a sum without subtraction (Johansson, Numer. Algorithms 69, 2015).  A
+    Hurwitz zeta summed to an absolute 2^-prec, as mpmath's is, loses the
+    bits of these tiny values.
 
-    With all four parameters real the sum runs in mpf.  The gammas cost the
-    same either way (mpmath sends a zero-imaginary mpc to its real routine),
-    but every mpc operation that forms the gamma arguments and combines the
-    terms costs two to four real ones.
+    Tail terms are added until one falls below 2^-(P+30) of |S|, abs_tol
+    standing in for |S| near 0; a tail not settled by depth 0.6 (P+30)
+    raises ConvergenceError, as does N above max_terms, before any term is
+    summed.  N is (0.2 (P+30) + r) / min(|z|, 1) rounded up, with r the
+    largest |b| or |c|, and at least 16, so that both expansions converge
+    fast from N on; for real z every gamma argument past N has a positive
+    real part, so no pole lies in the tail.  Re z <= 0 is refused: the
+    expansion does not hold there, and the direct terms run first so that a
+    pole or the divergence guard names where the series breaks down.
+
+    tail_bound is the larger of |m| times the last tail term and 2^-P |S|,
+    the rounding to P bits, which the stop rule makes the larger whenever
+    |S| is above abs_tol.  On the plane m = alpha+beta+1 (alpha = 1/2,
+    beta = 1/3; z = 1/2, 7/2, 5/3) the value is right to 512.4-513.2 bits
+    at P = 512 and to 1024.7-1027.5 bits at P = 1024.
+
+    With all four parameters real the sum runs in mpf, with a complex one
+    in mpc, on the same code.  The gammas cost the same either way (mpmath
+    sends a zero-imaginary mpc to its real routine), but every mpc operation
+    that forms the gamma arguments and combines the terms costs two to four
+    real ones.
     """
     prec_work = ctx.precision + 30
     with working_precision(prec_work):
@@ -207,7 +226,7 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         one = number(1)
         pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (one, fa, one))
         reach = max(abs(x) for _, b, c in pairs for x in (b, c))
-        n_direct = max(16, int(mp.ceil((0.4 * prec_work + reach)
+        n_direct = max(16, int(mp.ceil((0.2 * prec_work + reach)
                                        / min(abs(fz), 1))))
         if n_direct > ctx.max_terms:
             raise ConvergenceError(
@@ -244,15 +263,23 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 SeriesClassification(SeriesKind.DIVERGENT))
         scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
             * mp.rgamma(fa)
+        # the tail scale * sum_n c_n N^-(n+1), where
+        # (n+1) c_n = sum_r C(n+1, r) B_r e_(n-r) over row n, B_1 taken as +1/2
+        step = mp.mpf(1) / n_direct
+        power = scale * step
         total = acc
         eps = mp.mpf(2) ** -prec_work
         depth = int(0.6 * prec_work)
-        for k, e_k in zip(range(depth + 1), _gamma_ratio_expansion(pairs)):
-            last = scale * e_k * mp.zeta(2 + k, n_direct)
+        for n, (e, row) in zip(range(depth + 1), _gamma_ratio_expansion(pairs)):
+            conv = mp.fdot((w, e[n - r]) for r, w in row)
+            if n:   # B_1 from -1/2 to +1/2
+                conv += (n + 1) * e[n - 1]
+            last = power * conv / (n + 1)
             total = total + last
             if last != 0 and abs(fm * last) < eps * max(abs(fm * total),
                                                           ctx.abs_tol):
                 break
+            power = power * step
         else:
             raise ConvergenceError(
                 f"asymptotic tail not settled at depth {depth} past "
@@ -261,9 +288,11 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 terms_used=n_direct)
         with working_precision(ctx.precision):
             val = mp.mpc(fm * total)
+        # the last tail term or the rounding to P bits, whichever is larger;
         # rounded up to the least positive float rather than to 0.0, which
         # an estimate below 2^-1074 (P beyond about 1000 bits) would give
-        tail = max(float(abs(fm * last)), math.ulp(0.0))
+        tail = max(float(max(abs(fm * last), mp.ldexp(abs(val), -ctx.precision))),
+                   math.ulp(0.0))
         return EvalResult(
             SphereValue.of(Scalar(val=val, prec=ctx.precision)),
             n_direct, tail, SeriesClassification(SeriesKind.CONVERGENT),
@@ -289,35 +318,44 @@ def _gamma_term_float(fa, fb, fm, fz, j):
 
 
 def _gamma_ratio_expansion(pairs):
-    """Yield e_0 = 1, e_1, e_2, ... with prod Gamma(sigma j+b)/Gamma(sigma j+c)
-    ~ prod (sigma j)^(b-c) * sum_k e_k j^-k as j -> oo, over the
-    (sigma, b, c) in pairs.
+    """Yield (e, row_k) for k = 0, 1, 2, ..., with e the list e_0, ..., e_k,
+    e_0 = 1 and
+    prod Gamma(sigma j+b)/Gamma(sigma j+c) ~ prod (sigma j)^(b-c) * sum_k e_k j^-k
+    as j -> oo, over the (sigma, b, c) in pairs, and row_k the pairs
+    (r, C(k+1, r) B_r) for r = 0, 1 and the even r <= k (B_1 = -1/2).
+    The list is the generator's own and grows by one entry per step.
 
     By the Tricomi-Erdelyi expansion (Pacific J. Math. 1, 1951) the log of
     each ratio is (b-c) log(sigma j) plus sum_n d_n j^-n with
     d_n = (-1)^(n+1) [B_{n+1}(b) - B_{n+1}(c)] / (n (n+1) sigma^n); the
     exponential of the summed series follows from
-    k e_k = sum_{n<=k} n d_n e_{k-n}.  Each B_{n+1}(x) is built from the
-    Bernoulli numbers and the powers of x.
+    k e_k = sum_{n<=k} n d_n e_{k-n}.  B_{k+1}(b) - B_{k+1}(c) is row_k
+    dotted with b^t - c^t, t = k+1-r: the row is built once per k for every
+    pair, each pair keeps its list of b^t - c^t and its running sigma^-k,
+    and n d_n is stored once.
     """
     bern = [mp.bernoulli(0), mp.bernoulli(1)]
-    powers = [([1, b], [1, c]) for _, b, c in pairs]
-    d = [0]
+    # per pair: [b^t, c^t, sigma^-t] at the latest t, and b^t - c^t for t >= 0
+    runs = [[b, c, 1 / sigma] for sigma, b, c in pairs]
+    diffs = [[0, b - c] for _, b, c in pairs]
+    nd = [0]
     e = [mp.mpf(1)]
-    yield e[0]
+    yield e, [(0, bern[0])]
     for k in itertools.count(1):
         if k > 1:
             bern.append(mp.bernoulli(k))
+        row = [(r, math.comb(k + 1, r) * bern[r])
+               for r in range(k + 1) if r < 2 or r % 2 == 0]
         d_k = 0
-        for (sigma, b, c), (pb, pc) in zip(pairs, powers):
-            pb.append(pb[-1] * b)
-            pc.append(pc[-1] * c)
-            diff = sum(math.comb(k + 1, r) * bern[r] * (pb[k + 1 - r] - pc[k + 1 - r])
-                       for r in range(k + 1) if r < 2 or r % 2 == 0)
-            d_k += diff / sigma ** k
-        d.append((-1) ** (k + 1) * d_k / (k * (k + 1)))
-        e.append(sum(n * d[n] * e[k - n] for n in range(1, k + 1)) / k)
-        yield e[k]
+        for (sigma, b, c), run, diff in zip(pairs, runs, diffs):
+            run[0] *= b
+            run[1] *= c
+            diff.append(run[0] - run[1])
+            d_k += mp.fdot((w, diff[k + 1 - r]) for r, w in row) * run[2]
+            run[2] /= sigma
+        nd.append((-1) ** (k + 1) * d_k / (k + 1))
+        e.append(mp.fdot((nd[n], e[k - n]) for n in range(1, k + 1)) / k)
+        yield e, row
 
 
 def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResult:
@@ -328,11 +366,13 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     m and z are real (a float as the exact rational it is, the sum rounded
     once to ctx.precision).  Nonterminating with z a nonnegative integer:
     s_integer_form.  Anything else is evaluated experimentally: N terms
-    with float gammas, then the asymptotic tail C sum_k e_k zeta(2+k, N), at
-    ctx.precision + 30 bits until a tail term falls below
-    2^-(precision+30) of the sum.  terms_used is N and
-    tail_bound |m| times the last tail term, an estimate.  Re z <= 0 raises
-    PoleError or DivergentSeriesError.
+    with float gammas, then the tail C sum_k e_k zeta(2+k, N) summed as one
+    Euler-Maclaurin series in 1/N at the integer N, at ctx.precision + 30
+    bits until a tail term falls below 2^-(precision+30) of the sum.
+    terms_used is N and tail_bound the larger of |m| times the last tail
+    term and 2^-precision |S|, an estimate that covers the final rounding.
+    Re z <= 0 raises PoleError or DivergentSeriesError.  A terminating k
+    or an integer z above ctx.max_terms raises InvalidParametersError.
     """
     if p.terminating_k is not None:
         return _s_direct_terminating(p, ctx)
@@ -355,14 +395,18 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
     pochhammer_sum through exact_first, as in s_direct; nonterminating ones
     go through the parameter-split (recast_params for n >= 1, a plain 2F1
     for n = 0) and the engine's tail machinery, which refuses divergent
-    input.
+    input.  Both loop over n: an n (or a terminating k) above ctx.max_terms
+    raises InvalidParametersError.
     """
     n = p.integer_z
     if n is None:
         raise InvalidParametersError(
             f"s_integer_form needs z a nonnegative integer, got z = {p.z}")
+    checked_count("z", n, ctx)
     k = p.terminating_k
     if k is not None:
+        checked_count("k", k, ctx)
+
         def stride_sum(alpha, beta, m):
             # term j: (beta+1)_{nj} (m)_{(n+1)j} (alpha)_j
             #         / ((alpha+beta+1)_{(n+1)j} (m+1)_{nj} j!)
@@ -447,17 +491,17 @@ def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
     at r = 0 and 0 for every r >= 1.  Summed by pochhammer_sum through
     exact_first: exactly for real m (a float as the exact rational it is,
     rounded once to ctx.precision), in float with guard bits for complex m.
+    n or r above ctx.max_terms is refused with InvalidParametersError.
     """
-    if n < 1:
-        raise InvalidParametersError("inner_sum_E needs n >= 1")
-    if r < 0:
-        raise InvalidParametersError("r must be a nonnegative integer")
+    ctx = ctx or DEFAULT_CONTEXT
+    checked_count("n", n, ctx, positive=True)
+    checked_count("r", r, ctx)
 
     def alternating_sum(m):
         return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + r, 0, 0, n)],
                                              [(m + 1, n)]))
 
-    return exact_first(alternating_sum, (m,), ctx or DEFAULT_CONTEXT).finite
+    return exact_first(alternating_sum, (m,), ctx).finite
 
 
 def finite_difference_check(m, n: int, r: int,
@@ -466,16 +510,16 @@ def finite_difference_check(m, n: int, r: int,
     the binomial and differentiating monomials: the result is
     sum_j (-1)^j C(r,j) (m+r-1+nj)(m+r-2+nj)...(m+1+nj), the rising
     factorial (m+1+nj)_{r-1} per term.  Exactly zero, since the zero of
-    (1-x^n)^r at x = 1 has order r > r-1.  Summed as inner_sum_E is."""
-    if n < 1:
-        raise InvalidParametersError("finite_difference_check needs n >= 1")
-    if r < 1:
-        raise InvalidParametersError("r must be a positive integer")
+    (1-x^n)^r at x = 1 has order r > r-1.  Summed, and n and r checked,
+    as in inner_sum_E."""
+    ctx = ctx or DEFAULT_CONTEXT
+    checked_count("n", n, ctx, positive=True)
+    checked_count("r", r, ctx, positive=True)
 
     def alternating_sum(m):
         return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + 1, n, r - 1, 0)]))
 
-    return exact_first(alternating_sum, (m,), ctx or DEFAULT_CONTEXT).finite
+    return exact_first(alternating_sum, (m,), ctx).finite
 
 
 def eq6_prefactor(alpha, beta, m,

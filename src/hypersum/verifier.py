@@ -27,6 +27,7 @@ from .numeric_core import (
     Scalar,
     SphereValue,
     UnsupportedExactError,
+    checked_count,
     exact_first,
     gamma,
     scalar,
@@ -147,9 +148,10 @@ def verify_point(alpha, beta, m, z,
 def verify_theorem(k: int, beta, m, z,
                    ctx: Optional[EvalContext] = None,
                    rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
-    """The terminating summation: S(-k, beta, m, z) against (beta+1-m-k)_k."""
-    if k < 0:
-        raise InvalidParametersError("k must be a nonnegative integer")
+    """The terminating summation: S(-k, beta, m, z) against (beta+1-m-k)_k.
+    k above ctx.max_terms is refused, as a negative k is."""
+    ctx = ctx or DEFAULT_CONTEXT
+    checked_count("k", k, ctx)
     return verify_point(-k, beta, m, z, ctx, rel_tol)
 
 

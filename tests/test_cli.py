@@ -252,6 +252,32 @@ class TestVerify:
     def test_out_of_range_integer_exits_1(self, capsys, argv):
         assert_one_line_error(capsys, main(argv), "hypersum: invalid parameters:")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "askey-ismail", "--num=1/2,1/3", "--den=5/2",
+         "--k=100000000000000000000"],
+        ["verify", "theorem", "--k=100000000000000000000", "--beta=1/2",
+         "--m=1/3", "--z=1"],
+        ["verify", "inner-sum", "--m=1/3", "--n=100000000000000000000", "--r=2"],
+        ["eval", "ramanujan", "--alpha=-100000000000000000000", "--beta=1/2",
+         "--m=1/3", "--z=1/2"],
+        ["eval", "pfq", "--num=-100000000000000000000", "--den=5/2"],
+        ["eval", "ramanujan", "--alpha=1/2", "--beta=1/2", "--m=1/3",
+         "--z=100000000000000000000"],
+    ])
+    def test_count_above_max_terms_exits_1_quickly(self, argv):
+        # a k, n, r or integer z above max_terms is refused before any term
+        # is summed; these ended in OverflowError or ran for minutes
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "hypersum.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 1
+        assert not proc.stdout
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("hypersum: invalid parameters:")
+        assert "max_terms = 100000" in lines[0]
+
     def test_missing_flags_exit_1(self, capsys):
         assert main(["verify", "theorem", "--k=2"]) == 1
         assert main(["verify", "askey-ismail", "--num=1", "--den=3",

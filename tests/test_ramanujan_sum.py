@@ -1,5 +1,7 @@
 """Tests for the central sum S, its closed form, and the proof identities."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -640,6 +642,93 @@ class TestEq6Prefactor:
             eq6_prefactor(F(1, 2), F(1, 4), F(1, 3))
 
 
+# The tail the experimental route summed before it folded the Hurwitz zeta
+# values into one series in 1/N: C sum_k e_k zeta(2+k, N), one mp.zeta call
+# per order k, with e_k from the expansion as it was built then.  Each zeta
+# is computed (2+k) log2 N + 20 bits above the working precision: mpmath's
+# Euler-Maclaurin stops on an absolute 2^-prec, and zeta(2+k, N) is tiny.
+
+def gamma_ratio_expansion_reference(pairs):
+    bern = [mpmath.bernoulli(0), mpmath.bernoulli(1)]
+    powers = [([1, b], [1, c]) for _, b, c in pairs]
+    d = [0]
+    e = [mpmath.mpf(1)]
+    yield e[0]
+    for k in itertools.count(1):
+        if k > 1:
+            bern.append(mpmath.bernoulli(k))
+        d_k = 0
+        for (sigma, b, c), (pb, pc) in zip(pairs, powers):
+            pb.append(pb[-1] * b)
+            pc.append(pc[-1] * c)
+            diff = sum(math.comb(k + 1, r) * bern[r] * (pb[k + 1 - r] - pc[k + 1 - r])
+                       for r in range(k + 1) if r < 2 or r % 2 == 0)
+            d_k += diff / sigma ** k
+        d.append((-1) ** (k + 1) * d_k / (k * (k + 1)))
+        e.append(sum(n * d[n] * e[k - n] for n in range(1, k + 1)) / k)
+        yield e[k]
+
+
+def zeta_tail_reference(params, ctx, monkeypatch):
+    """s_direct's value on the experimental route next to the value that its
+    own direct terms (recorded as the route computes them) and the
+    per-order zeta tail give, both at ctx.precision."""
+    terms = {}
+    term = ramanujan_sum._gamma_term_float
+
+    def record(fa, fb, fm, fz, j):
+        terms[j] = term(fa, fb, fm, fz, j)
+        return terms[j]
+
+    monkeypatch.setattr(ramanujan_sum, "_gamma_term_float", record)
+    res = s_direct(RamanujanParams(*params), ctx)
+    n_direct = res.terms_used
+    prec_work = ctx.precision + 30
+    with mpmath.workprec(prec_work):
+        fa, fb, fm, fz = (Scalar.exact(x).to_mpc(prec_work) if not isinstance(x, complex)
+                          else mpmath.mpc(x) for x in params)
+        one = mpmath.mpf(1)
+        pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (one, fa, one))
+        total, weight = 0, one   # weight = (alpha)_j / j!
+        for j in range(n_direct):
+            if terms[j] is not None:
+                total += terms[j] * weight
+            weight = weight * (fa + j) / (j + 1)
+        scale = mpmath.power(fz, fb - fm) * mpmath.power(fz + 1, fm - fa - fb - 1) \
+            * mpmath.rgamma(fa)
+        eps = mpmath.mpf(2) ** -prec_work
+        for k, e_k in zip(range(int(0.6 * prec_work) + 1),
+                          gamma_ratio_expansion_reference(pairs)):
+            with mpmath.extraprec(int((2 + k) * math.log2(n_direct)) + 20):
+                zeta = mpmath.zeta(2 + k, n_direct)
+            last = scale * e_k * zeta
+            total += last
+            if last != 0 and abs(fm * last) < eps * max(abs(fm * total), ctx.abs_tol):
+                break
+        else:
+            raise AssertionError("the zeta tail did not settle")
+        return res.value.finite.to_mpc(prec_work), fm * total
+
+
+@functools.lru_cache(maxsize=None)
+def beta_plane_point(z, prec):
+    """S(1/2, 1/3, 11/6, z) at prec bits, on the plane m = alpha+beta+1, and
+    the Beta integral m/Gamma(alpha+1) int_0^1 t^beta ((1-t)/(1-t^z))^alpha dt
+    by mp.quad at prec + 90 bits, split at t = 1/2."""
+    alpha, beta = F(1, 2), F(1, 3)
+    res = s_direct(RamanujanParams(alpha, beta, alpha + beta + 1, z),
+                   EvalContext(precision=prec))
+    with mpmath.workprec(prec + 90):
+        a, b, zz = (mpmath.mpf(x.numerator) / x.denominator for x in (alpha, beta, z))
+        integral = mpmath.quad(lambda t: t ** b * ((1 - t) / (1 - t ** zz)) ** a,
+                               [0, 0.5, 1])
+        ref = (a + b + 1) / mpmath.gamma(a + 1) * integral
+    return res, ref
+
+
+BETA_PLANE = [(z, prec) for prec in (512, 1024) for z in (F(1, 2), F(7, 2), F(5, 3))]
+
+
 class TestExperimental:
     # nonterminating alpha, non-integer z: no identity claims, just the sum
     CTX = EvalContext(precision=128, rel_tol=1e-8, abs_tol=1e-25)
@@ -700,6 +789,43 @@ class TestExperimental:
         assert abs(lo_v - hi_v) <= mpmath.mpf(2) ** -120 * abs(hi_v)
         assert 0 < hi.tail_bound < lo.tail_bound < 2.0 ** -120
 
+    @pytest.mark.parametrize("z, prec", BETA_PLANE)
+    def test_beta_plane_reaches_precision(self, z, prec):
+        # on m = alpha+beta+1, S is a Beta-type integral; the per-order
+        # Hurwitz-zeta tail stopped at 413.6 and 721.8 bits here at z = 1/2
+        res, ref = beta_plane_point(z, prec)
+        with mpmath.workprec(prec + 90):
+            err = abs(res.value.finite.to_mpc(prec) - ref)
+            assert err <= mpmath.mpf(2) ** -(prec - 4) * abs(ref)
+
+    @pytest.mark.parametrize("z, prec", BETA_PLANE)
+    def test_beta_plane_tail_bound_covers_error(self, z, prec):
+        # the rounding to P bits is counted: the last tail term alone read
+        # about 3e-164 at P = 512, against an error near 2^-512
+        res, ref = beta_plane_point(z, prec)
+        with mpmath.workprec(prec + 90):
+            assert res.tail_bound >= abs(res.value.finite.to_mpc(prec) - ref)
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    @pytest.mark.parametrize("params", [
+        (F(4, 3), F(2, 3), F(7, 8), F(7, 9)),
+        (F(-6, 7), F(1, 2), F(2, 7), F(26, 9)),
+        (F(-1, 6), F(4, 5), F(3, 4), F(20, 7)),
+        (F(-2, 9), F(2, 3), F(1, 5), F(14, 9)),
+        (F(-5, 6), F(7, 5), F(2, 3), F(3, 2)),
+        (F(1, 3), F(10, 7), F(2, 5), F(4, 3)),
+        (F(8, 9), F(1, 2), F(1, 2), F(1, 4)),
+        (F(-1, 2), F(1, 2), F(1, 7), F(5, 9)),
+        (0.5 + 0.1j, 1.0, 0.5, 0.5),
+        (0.5, 1.0, 0.5, 0.5 + 0.5j),
+        (0.5, 1.0, 0.5, F(1, 50)),
+    ])
+    def test_matches_zeta_tail(self, params, prec, monkeypatch):
+        # the one series in 1/N against the per-order Hurwitz-zeta tail it
+        # replaced, on the same direct terms
+        got, want = zeta_tail_reference(params, EvalContext(precision=prec), monkeypatch)
+        assert abs(got - want) <= mpmath.mpf(2) ** -(prec - 2) * abs(want)
+
     def test_small_z(self):
         # the direct part must reach N >> 1/z before the tail takes over
         res = s_direct(RamanujanParams(0.5, 1.0, 0.5, F(1, 50)),
@@ -736,6 +862,7 @@ class TestExperimental:
 
     def test_budget_exhaustion(self, monkeypatch):
         # N direct terms above max_terms are refused before any is summed
+        # (N is 43 and 18434 here)
         calls = []
         term = ramanujan_sum._gamma_term_float
         monkeypatch.setattr(ramanujan_sum, "_gamma_term_float",
@@ -743,7 +870,7 @@ class TestExperimental:
         for params, ctx in (
                 ((0.5, 1.0, 0.5, 0.5), EvalContext(precision=64, max_terms=32)),
                 ((F(1, 2), F(1, 3), F(1, 5), F(1, 1000)),
-                 EvalContext(precision=53, max_terms=30000))):
+                 EvalContext(precision=53, max_terms=15000))):
             with pytest.raises(ConvergenceError) as exc:
                 s_direct(RamanujanParams(*params), ctx)
             assert exc.value.partial is not None
