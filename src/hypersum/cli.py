@@ -460,6 +460,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # exact values print every digit; Python 3.11 (and 3.10.7 on) refuses
+    # str() of an int past 4300 digits unless the process lifts the limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

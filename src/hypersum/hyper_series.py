@@ -23,7 +23,8 @@ Summation strategy by case:
   does all of this in one of two arithmetics at W = precision + 40 bits:
   integers scaled by 2^W for real rational parameters (real floats as
   dyadic rationals), kept over their common denominator, and mpc for
-  complex parameters and sqrt(pi) multiples.
+  complex parameters and sqrt(pi) multiples.  _arithmetic makes that
+  choice, for this engine and for the experimental S route.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .numeric_core import (
     DEFAULT_CONTEXT,
@@ -89,7 +90,7 @@ class EvalResult:
     # one error is the final rounding); other floats are estimates.  On the
     # p <= q route it is mp.hyper's target accuracy 2^-P |value|.  On the
     # balanced route it is the difference between two truncation depths,
-    # not a bound: it can read far below the true error.
+    # floored at 2^-P |value|: an estimate, not a bound.
     tail_bound: Union[int, float]
     classification: SeriesClassification
     experimental: bool = False
@@ -241,9 +242,47 @@ def _sum_hyper(params: HypParams, cls: SeriesClassification,
     return EvalResult(SphereValue.of(Scalar(val=val, prec=prec)), None, bound, cls)
 
 
+class _Arithmetic(NamedTuple):
+    """The numbers a series engine computes with: ``one``; ``mul`` and
+    ``div``, the product and quotient of two numbers; ``value``, the mpmath
+    number that a product of two numbers stands for; and ``lift``, an mpf
+    as a number."""
+
+    one: object
+    mul: Callable
+    div: Callable
+    value: Callable
+    lift: Callable
+
+
+_MPMATH = _Arithmetic(1, operator.mul, operator.truediv, operator.pos, operator.pos)
+
+
+def _arithmetic(xs, w: int):
+    """The series engines' one choice of arithmetic at W = w bits, for the
+    Scalars xs: (ints, d, arith), each x standing for ints[i] / d.
+
+    With every x real and rational (a real float as the dyadic rational it
+    is) ints are integers over their common denominator d, and arith works
+    in integers scaled by 2^W: mul, div and lift floor to a multiple of
+    2^-W, and value reads a product, scaled by 2^2W, exactly.  Otherwise
+    (complex parameters, sqrt(pi) multiples) ints are the mpc values at w
+    bits, d is 1 and arith is mpmath's own at the working precision.
+    """
+    exact = [_dyadic(x) for x in xs]
+    if not all(x is not None and x.is_rational for x in exact):
+        return [x.to_mpc(w) for x in xs], 1, _MPMATH
+    fracs = [x.fraction for x in exact]
+    d = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d, _Arithmetic(
+        1 << w, lambda x, y: x * y >> w, operator.floordiv,
+        lambda x: mp.make_mpf(from_man_exp(x, -2 * w)),
+        lambda x: to_fixed(x._mpf_, w))
+
+
 def _ratio_series(a_vals, b_vals, length, mul, one):
     """Coefficients of prod(1 + a_i x) / prod(1 + b_j x) to ``length`` terms,
-    in the arithmetic (one, mul) of _balanced: the term ratio r(x), x = 1/N,
+    in the arithmetic (one, mul) of _arithmetic: the term ratio r(x), x = 1/N,
     when b_vals ends in ``one``.
 
     Each linear factor is one first-order recurrence on the truncated
@@ -262,7 +301,7 @@ def _ratio_series(a_vals, b_vals, length, mul, one):
 
 def _tail_coefficients(r, depth, div, one):
     """Solve for u(N) ~ c_{-1} N + c_0 + c_1/N + ... from u = 1 + r u(N+1),
-    in the arithmetic (one, div) of _balanced.
+    in the arithmetic (one, div) of _arithmetic.
 
     Substituting the ansatz and collecting powers of x = 1/N gives a lower
     triangular system.  The x^0 equation pins c_{-1} = 1/s with
@@ -301,16 +340,17 @@ def _tail_u(n, cm1, cs, div):
     return u
 
 
-def _balanced(ints, d: int, p: int, n: int, depth: int, one, mul, div, value):
+def _balanced(ints, d: int, p: int, n: int, depth: int, arith: _Arithmetic):
     """Yields (N, sum plus tail, |t_N (u_hi - u_lo)|) for the parameters
-    ints[i] / d (numerators first, p of them) from N = n on, N doubling.
+    ints[i] / d (numerators first, p of them) from N = n on, N doubling,
+    in the arithmetic of _arithmetic.
 
-    The arithmetic is (one, mul, div, value): 1, the product and quotient
-    of two numbers, and the mpf a number stands for.  The term step is
-    t = div(t prod(A_i + jD), D (j+1) prod(B_k + jD)).  The tail build takes
-    each parameter as div(A one, D): in integers, rounded to a multiple of
-    2^-W, so that its integers stay near W bits however large D is.
+    The term step is t = div(t prod(A_i + jD), D (j+1) prod(B_k + jD)).
+    The tail build takes each parameter as div(A one, D): in integers,
+    rounded to a multiple of 2^-W, so that its integers stay near W bits
+    however large D is.
     """
+    one, mul, div, value, _ = arith
     nums, dens = ints[:p], ints[p:]
     fixed = [div(x * one, d) for x in ints]
     r = _ratio_series(fixed[:p], fixed[p:] + [one], depth + 2, mul, one)
@@ -343,30 +383,22 @@ def _sum_balanced(params: HypParams, cls: SeriesClassification,
     the stop test and the rounding use mpf.
 
     tail_bound is |t_N (u_hi - u_lo)|, where u_lo drops the last four of the
-    18 expansion coefficients that u_hi uses, floored at 2^-W |sum|, the
-    working precision's own resolution.  It estimates the truncation error
-    and bounds nothing: it reads 3.8e-26 against a true error of 1.15e-16
-    for 2F1(5/3, 3; 58/9; 1) at 53 bits.
+    18 expansion coefficients that u_hi uses, floored at 2^-P |sum|, the
+    rounding to P = ctx.precision bits.  It estimates the error and bounds
+    nothing: for 2F1(5/3, 3; 58/9; 1) at 53 bits the two depths differ by
+    3.8e-26 against a true error of 1.15e-16, which the floor, 5.0e-16,
+    covers.
     """
     depth = 18
     prec_work = ctx.precision + 40
-    exact = [_dyadic(x) for x in params.numerator + params.denominator]
     with working_precision(prec_work):
-        if all(x is not None and x.is_rational for x in exact):
-            vals = [x.fraction for x in exact]
-            w = prec_work
-            d = math.lcm(*(f.denominator for f in vals))
-            ints = [f.numerator * (d // f.denominator) for f in vals]
-            arith = (1 << w, lambda x, y: x * y >> w, operator.floordiv,
-                     lambda x: mp.make_mpf(from_man_exp(x, -2 * w)))
-        else:
-            vals = ints = [x.to_mpc(prec_work) for x in params.numerator + params.denominator]
-            d, arith = 1, (1, operator.mul, operator.truediv, operator.pos)
+        ints, d, arith = _arithmetic(params.numerator + params.denominator, prec_work)
         # the first N, past where the largest parameter still shapes the terms
-        n = min(max(64, int(4 * max([abs(v) for v in vals] + [1])) + 16), ctx.max_terms)
-        for n, total, err in _balanced(ints, d, params.p, n, depth, *arith):
+        n = min(max(64, int(4 * max([abs(x) for x in ints] + [d]) / d) + 16),
+                ctx.max_terms)
+        for n, total, err in _balanced(ints, d, params.p, n, depth, arith):
             if err <= max(ctx.rel_tol * abs(total), ctx.abs_tol):
-                bound = max(err, mp.ldexp(abs(total), -prec_work))
+                bound = max(err, mp.ldexp(abs(total), -ctx.precision))
                 with working_precision(ctx.precision):
                     val = mp.mpc(+total)
                 return EvalResult(

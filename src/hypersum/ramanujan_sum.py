@@ -16,7 +16,10 @@ fails; only z = 0 (with convergence) is covered.  Nonnegative integer z is
 summed as a balanced hypergeometric series; any other z is summed directly
 up to a cutoff N and completed by an Euler-Maclaurin tail, the Hurwitz zeta
 values zeta(2+k, N) at the integer N folded into one power series in 1/N,
-and those results are marked experimental.
+and those results are marked experimental.  For real rational parameters
+(real floats as their dyadic rationals) that tail is computed in
+fixed-point integers, and at z = p/q > 0 most direct terms follow from the
+one q places back by an exact integer ratio instead of four gamma calls.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from .hyper_series import (
     HypParams,
     SeriesClassification,
     SeriesKind,
+    _MPMATH,
+    _arithmetic,
     _finite_sum_result,
     eval_at_1,
 )
@@ -173,9 +178,19 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     return _finite_sum_result(value, _terminating_cls(k))
 
 
+# One stride step of the direct terms multiplies 4p + 2q linear factors for
+# z = p/q (see _stride); from _STRIDE_FACTORS factors on, four mp.gamma calls
+# are cheaper.  At 53 bits (83 working bits; a 2-core x86_64 host, Python
+# 3.11, mpmath 1.3.0 on its Python backend) a step of 256 factors took 57 us
+# against 150-173 us for one _gamma_term_float call at z = 1/2, 7/2 and
+# 301/3, and the two met near 512 factors; gammas only cost more at higher
+# precision.
+_STRIDE_FACTORS = 256
+
+
 def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
-    """Nonterminating alpha with non-integer z: N direct terms with float
-    gammas, plus an Euler-Maclaurin tail, one power series in 1/N.
+    """Nonterminating alpha with non-integer z: N direct terms, plus an
+    Euler-Maclaurin tail, one power series in 1/N.
 
     Outside the ground the closed form is known to cover, hence flagged
     experimental.  Written with (alpha)_j/j! = Gamma(j+alpha)/(Gamma(alpha)
@@ -209,11 +224,17 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     beta = 1/3; z = 1/2, 7/2, 5/3) the value is right to 512.4-513.2 bits
     at P = 512 and to 1024.7-1027.5 bits at P = 1024.
 
-    With all four parameters real the sum runs in mpf, with a complex one
-    in mpc, on the same code.  The gammas cost the same either way (mpmath
-    sends a zero-imaginary mpc to its real routine), but every mpc operation
-    that forms the gamma arguments and combines the terms costs two to four
-    real ones.
+    Arithmetic, chosen by hyper_series._arithmetic at W = P+30 bits: with
+    all four parameters real rationals (a real float as its dyadic
+    rational) e_k and the fold c_n run in integers scaled by 2^W, and for
+    z = p/q > 0 with 4p + 2q below _STRIDE_FACTORS the gamma part of term
+    j+q is that of term j times the exact integer ratio of _stride_ratio, once
+    all four gamma arguments of term j are positive.  Every other direct
+    term takes four mp.gamma calls in _gamma_term_float, so poles are
+    found as before.  A complex parameter (or a sqrt(pi) multiple) sends
+    e_k and c_n to mpc (mpf when all four are real) on the same code, with
+    every direct term from _gamma_term_float.  The direct terms, C and the
+    sum of the tail are mpf or mpc at W bits either way.
     """
     prec_work = ctx.precision + 30
     with working_precision(prec_work):
@@ -233,16 +254,27 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 f"direct series needs {n_direct} terms before its tail, "
                 f"more than max_terms = {ctx.max_terms}",
                 partial=Scalar(val=mp.mpc(0), prec=prec_work))
+        ints, d, arith = _arithmetic((p.alpha, p.beta, p.m, p.z), prec_work)
+        # without a stride recurrence q = N: every term takes gammas
+        q, forms = (None if arith is _MPMATH else _stride(ints, d)) or (n_direct, ())
         acc = number(0)
         poch_a = one
         fact = mp.mpf(1)
         grow_streak = 0
         prev_mag = None
+        seeds = []   # the gamma part of term j, or None where j+q cannot step from it
         for j in range(n_direct):
             if j > 0:
                 poch_a = poch_a * (fa + (j - 1))
                 fact = fact * j
-            t = _gamma_term_float(fa, fb, fm, fz, j)
+            if j >= q and seeds[j - q] is not None:
+                num, den = _stride_ratio(forms, d, j - q)
+                t = seeds[j - q] * num / den
+                seeds.append(t)
+            else:
+                t = _gamma_term_float(fa, fb, fm, fz, j)
+                positive = all(x0 + j * x1 > 0 for x0, x1, _ in forms)
+                seeds.append(t if positive else None)
             if t is None:
                 continue
             t = t * poch_a / fact
@@ -264,17 +296,19 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
             * mp.rgamma(fa)
         # the tail scale * sum_n c_n N^-(n+1), where
-        # (n+1) c_n = sum_r C(n+1, r) B_r e_(n-r) over row n, B_1 taken as +1/2
+        # (n+1) c_n = sum_r C(n+1, r) B_r e_(n-r) over row n, B_1 taken as +1/2;
+        # the row's dot product is a product of two numbers, read by value
+        lifted = [tuple(map(arith.lift, pair)) for pair in pairs]
         step = mp.mpf(1) / n_direct
         power = scale * step
         total = acc
         eps = mp.mpf(2) ** -prec_work
         depth = int(0.6 * prec_work)
-        for n, (e, row) in zip(range(depth + 1), _gamma_ratio_expansion(pairs)):
-            conv = mp.fdot((w, e[n - r]) for r, w in row)
+        for n, (e, row) in zip(range(depth + 1), _gamma_ratio_expansion(lifted, arith)):
+            conv = sum(w * e[n - r] for r, w in row)
             if n:   # B_1 from -1/2 to +1/2
-                conv += (n + 1) * e[n - 1]
-            last = power * conv / (n + 1)
+                conv += (n + 1) * e[n - 1] * arith.one
+            last = power * arith.value(conv) / (n + 1)
             total = total + last
             if last != 0 and abs(fm * last) < eps * max(abs(fm * total),
                                                           ctx.abs_tol):
@@ -299,6 +333,40 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
             experimental=True)
 
 
+def _stride(ints, d: int):
+    """(q, forms) for alpha, beta, m, z = ints / d when z = p/q > 0 and one
+    stride step multiplies fewer than _STRIDE_FACTORS factors, else None.
+
+    forms lists the four gamma arguments of term j as (x0 + j x1) / d,
+    numerators first, each with its shift over q terms: jz grows by p and
+    j(z+1) by p+q, so the gamma part of term j+q is that of term j times
+    (beta+1+jz)_p (m+j(z+1))_(p+q) / ((alpha+beta+1+j(z+1))_(p+q) (m+1+jz)_p),
+    4p + 2q factors.
+    """
+    a, b, m, z = ints
+    if z <= 0:
+        return None
+    g = math.gcd(z, d)
+    p, q = z // g, d // g
+    if 4 * p + 2 * q >= _STRIDE_FACTORS:
+        return None
+    return q, ((b + d, z, p), (m, z + d, p + q), (a + b + d, z + d, p + q), (m + d, z, p))
+
+
+def _stride_ratio(forms, d: int, j: int):
+    """The gamma part of term j+q over that of term j, as (num, den), for
+    the forms of _stride: each Pochhammer factor (x0 + j x1)/d + i is
+    (x0 + j x1 + i d)/d, and the d's cancel because numerator and
+    denominator hold as many factors."""
+    ratio = []
+    for x0, x1, length in forms:
+        x, prod = x0 + j * x1, 1
+        for i in range(length):
+            prod *= x + i * d
+        ratio.append(prod)
+    return ratio[0] * ratio[1], ratio[2] * ratio[3]
+
+
 def _gamma_term_float(fa, fb, fm, fz, j):
     """One gamma-ratio term of the direct series (without (alpha)_j/j! and
     the leading m), or None when a denominator gamma pole kills the term.
@@ -317,13 +385,16 @@ def _gamma_term_float(fa, fb, fm, fz, j):
             / (mp.gamma(args_den[0]) * mp.gamma(args_den[1])))
 
 
-def _gamma_ratio_expansion(pairs):
+def _gamma_ratio_expansion(pairs, arith):
     """Yield (e, row_k) for k = 0, 1, 2, ..., with e the list e_0, ..., e_k,
     e_0 = 1 and
     prod Gamma(sigma j+b)/Gamma(sigma j+c) ~ prod (sigma j)^(b-c) * sum_k e_k j^-k
     as j -> oo, over the (sigma, b, c) in pairs, and row_k the pairs
     (r, C(k+1, r) B_r) for r = 0, 1 and the even r <= k (B_1 = -1/2).
-    The list is the generator's own and grows by one entry per step.
+    Every number, pairs included, is in the arithmetic arith of
+    hyper_series._arithmetic; B_r comes from mp.bernoulli at the working
+    precision.  The list is the generator's own and grows by one entry per
+    step.
 
     By the Tricomi-Erdelyi expansion (Pacific J. Math. 1, 1951) the log of
     each ratio is (b-c) log(sigma j) plus sum_n d_n j^-n with
@@ -332,29 +403,31 @@ def _gamma_ratio_expansion(pairs):
     k e_k = sum_{n<=k} n d_n e_{k-n}.  B_{k+1}(b) - B_{k+1}(c) is row_k
     dotted with b^t - c^t, t = k+1-r: the row is built once per k for every
     pair, each pair keeps its list of b^t - c^t and its running sigma^-k,
-    and n d_n is stored once.
+    and n d_n is stored once.  Each dot product is summed unrounded and
+    divided once.
     """
-    bern = [mp.bernoulli(0), mp.bernoulli(1)]
+    one, mul, div, _, lift = arith
+    bern = [lift(mp.bernoulli(0)), lift(mp.bernoulli(1))]
     # per pair: [b^t, c^t, sigma^-t] at the latest t, and b^t - c^t for t >= 0
-    runs = [[b, c, 1 / sigma] for sigma, b, c in pairs]
+    runs = [[b, c, div(one * one, sigma)] for sigma, b, c in pairs]
     diffs = [[0, b - c] for _, b, c in pairs]
     nd = [0]
-    e = [mp.mpf(1)]
+    e = [one]
     yield e, [(0, bern[0])]
     for k in itertools.count(1):
         if k > 1:
-            bern.append(mp.bernoulli(k))
+            bern.append(lift(mp.bernoulli(k)))
         row = [(r, math.comb(k + 1, r) * bern[r])
                for r in range(k + 1) if r < 2 or r % 2 == 0]
-        d_k = 0
+        d_k = 0   # a sum of products of three numbers
         for (sigma, b, c), run, diff in zip(pairs, runs, diffs):
-            run[0] *= b
-            run[1] *= c
+            run[0] = mul(run[0], b)
+            run[1] = mul(run[1], c)
             diff.append(run[0] - run[1])
-            d_k += mp.fdot((w, diff[k + 1 - r]) for r, w in row) * run[2]
-            run[2] /= sigma
-        nd.append((-1) ** (k + 1) * d_k / (k + 1))
-        e.append(mp.fdot((nd[n], e[k - n]) for n in range(1, k + 1)) / k)
+            d_k += sum(w * diff[k + 1 - r] for r, w in row) * run[2]
+            run[2] = div(run[2] * one, sigma)
+        nd.append(div((-1) ** (k + 1) * d_k, (k + 1) * one * one))
+        e.append(div(sum(nd[n] * e[k - n] for n in range(1, k + 1)), k * one))
         yield e, row
 
 
@@ -365,10 +438,16 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     summed by pochhammer_sum through exact_first, so exactly whenever beta,
     m and z are real (a float as the exact rational it is, the sum rounded
     once to ctx.precision).  Nonterminating with z a nonnegative integer:
-    s_integer_form.  Anything else is evaluated experimentally: N terms
-    with float gammas, then the tail C sum_k e_k zeta(2+k, N) summed as one
+    s_integer_form.  Anything else is evaluated experimentally: N direct
+    terms, then the tail C sum_k e_k zeta(2+k, N) summed as one
     Euler-Maclaurin series in 1/N at the integer N, at ctx.precision + 30
-    bits until a tail term falls below 2^-(precision+30) of the sum.
+    bits until a tail term falls below 2^-(precision+30) of the sum.  With
+    all four parameters real rationals (real floats as their dyadic
+    rationals), e_k and the fold run in fixed-point integers and, at
+    z = p/q > 0 with 4p + 2q < 256, direct term j+q is term j times an exact
+    integer ratio once term j's gamma arguments are all positive; every
+    other direct term takes four mp.gamma calls, and complex parameters or
+    sqrt(pi) multiples keep the whole route in mpmath floats.
     terms_used is N and tail_bound the larger of |m| times the last tail
     term and 2^-precision |S|, an estimate that covers the final rounding.
     Re z <= 0 raises PoleError or DivergentSeriesError.  A terminating k

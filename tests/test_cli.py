@@ -278,6 +278,23 @@ class TestVerify:
         assert lines[0].startswith("hypersum: invalid parameters:")
         assert "max_terms = 100000" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem", "--k=1500", "--beta=1/2", "--m=1/3", "--z=7/2"],
+        ["eval", "ramanujan", "--alpha=-2000", "--beta=1/2", "--m=1/3", "--z=7/2"],
+    ])
+    def test_exact_value_past_4300_digits(self, argv):
+        # the exact rationals here have numerators of more than 4300 digits,
+        # which str() refuses by default from Python 3.11 on
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "hypersum.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        jsonschema.validate(rec, OUTPUT_SCHEMA)
+        exact = (rec.get("result") or rec["report"]["lhs"])["exact"]
+        assert len(exact) > 4300
+
     def test_missing_flags_exit_1(self, capsys):
         assert main(["verify", "theorem", "--k=2"]) == 1
         assert main(["verify", "askey-ismail", "--num=1", "--den=3",

@@ -414,6 +414,19 @@ class TestConvergentEval:
         assert r.terms_used == 64
         assert r.tail_bound >= 2.0 ** -93 * abs(r.value.finite.to_mpc(53))
 
+    def test_tail_bound_covers_the_rounding(self):
+        # floored at 2^-P |sum|: at 53 bits this sum is off by 1.15e-16 from
+        # Gauss's formula, and a floor at 2^-(P+40) |sum| read 3.8e-26
+        a, b, c = F(5, 3), F(3), F(58, 9)
+        r = pfq([a, b], [c], EvalContext(precision=53))
+        with mp.workprec(300):
+            fr = lambda q: mp.mpf(q.numerator) / q.denominator
+            ref = (mpmath.gamma(fr(c)) * mpmath.gamma(fr(c - a - b)) /
+                   (mpmath.gamma(fr(c - a)) * mpmath.gamma(fr(c - b))))
+            err = abs(r.value.finite.to_mpc(53) - ref)
+        assert err > 1e-16
+        assert r.tail_bound >= err
+
     def test_tail_bound_is_honest(self):
         r = pfq([1, 1], [3])
         actual = abs(r.value.finite.to_mpc(256) - 2)

@@ -25,7 +25,7 @@ from hypersum.numeric_core import (
     pochhammer,
 )
 from hypersum import ramanujan_sum
-from hypersum.hyper_series import SeriesKind, classify, eval_at_1
+from hypersum.hyper_series import _MPMATH, SeriesKind, _arithmetic, classify, eval_at_1
 from hypersum.ramanujan_sum import (
     PolynomialInZ,
     RamanujanParams,
@@ -669,18 +669,11 @@ def gamma_ratio_expansion_reference(pairs):
         yield e[k]
 
 
-def zeta_tail_reference(params, ctx, monkeypatch):
-    """s_direct's value on the experimental route next to the value that its
-    own direct terms (recorded as the route computes them) and the
-    per-order zeta tail give, both at ctx.precision."""
-    terms = {}
-    term = ramanujan_sum._gamma_term_float
-
-    def record(fa, fb, fm, fz, j):
-        terms[j] = term(fa, fb, fm, fz, j)
-        return terms[j]
-
-    monkeypatch.setattr(ramanujan_sum, "_gamma_term_float", record)
+def zeta_tail_reference(params, ctx):
+    """s_direct's value on the experimental route next to the value that
+    the same number of direct terms, each from four mpmath gamma calls, and
+    the per-order zeta tail give, both at the route's working precision.
+    A denominator pole is rgamma's 0."""
     res = s_direct(RamanujanParams(*params), ctx)
     n_direct = res.terms_used
     prec_work = ctx.precision + 30
@@ -691,8 +684,9 @@ def zeta_tail_reference(params, ctx, monkeypatch):
         pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (one, fa, one))
         total, weight = 0, one   # weight = (alpha)_j / j!
         for j in range(n_direct):
-            if terms[j] is not None:
-                total += terms[j] * weight
+            total += (mpmath.gamma(fb + 1 + j * fz) * mpmath.gamma(fm + j * (fz + 1))
+                      * mpmath.rgamma(fa + fb + 1 + j * (fz + 1))
+                      * mpmath.rgamma(fm + j * fz + 1)) * weight
             weight = weight * (fa + j) / (j + 1)
         scale = mpmath.power(fz, fb - fm) * mpmath.power(fz + 1, fm - fa - fb - 1) \
             * mpmath.rgamma(fa)
@@ -726,6 +720,51 @@ def beta_plane_point(z, prec):
     return res, ref
 
 
+def expansion_values(params, w, fixed):
+    """e_0, ..., e_60 of the experimental route for params at w bits, as
+    mpf: in integers scaled by 2^w when fixed, else in mpf."""
+    xs = [Scalar.exact(x) for x in params]
+    with mpmath.workprec(w):
+        arith = _arithmetic(xs, w)[2] if fixed else _MPMATH
+        fa, fb, fm, fz = (x.to_mpc(w).real for x in xs)
+        one = mpmath.mpf(1)
+        pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (one, fa, one))
+        pairs = [tuple(map(arith.lift, pair)) for pair in pairs]
+        steps = itertools.islice(ramanujan_sum._gamma_ratio_expansion(pairs, arith), 61)
+        return [arith.value(e[-1] * arith.one) for e, _ in steps]
+
+
+# (alpha, beta, m, z) and the real part of s_direct's value at 53 and 256
+# bits as (mantissa, exponent): the first six stride_pool entries of
+# perfbench and two points of the Beta plane
+FROZEN_EXPERIMENTAL = [
+    ((F(4, 3), F(2, 3), F(7, 8), F(7, 9)), {
+        53: (2985432244444267, -52),
+        256: (38379237217239985161095691094657580348434502786968441362510384683643777561209, -255)}),
+    ((F(-6, 7), F(1, 2), F(2, 7), F(26, 9)), {
+        53: (7314380308299257, -54),
+        256: (23507511975169755256024905036587363844085834489928144883987028600336122600433, -255)}),
+    ((F(-1, 6), F(4, 5), F(3, 4), F(20, 7)), {
+        53: (8824081811634819, -53),
+        256: (113438022150158270218933225268012440897175476400835047885120897186797510862349, -256)}),
+    ((F(-2, 9), F(2, 3), F(1, 5), F(14, 9)), {
+        53: (8925040458705247, -53),
+        256: (57367948238576686446250964154135242810845651682214147858171006316595493538239, -255)}),
+    ((F(-5, 6), F(7, 5), F(2, 3), F(3, 2)), {
+        53: (15556510470625, -44),
+        256: (25598308875428495735703368561734360808039001175125012844703079689544444561817, -254)}),
+    ((F(1, 3), F(10, 7), F(2, 5), F(4, 3)), {
+        53: (3681567203424607, -52),
+        256: (94656806426866851331539025766006092949075938766286045451355070284186721443603, -256)}),
+    ((F(1, 2), F(1, 3), F(11, 6), F(1, 2)), {
+        53: (4582959892337365, -51),
+        256: (29458130425239991943328184337223812199649414480436537977745771160765884556959, -253)}),
+    ((F(1, 2), F(1, 3), F(11, 6), F(7, 2)), {
+        53: (5002696129544971, -52),
+        256: (64312181875464127998480278139445021997603396343725568377278620244790473981219, -255)}),
+]
+
+
 BETA_PLANE = [(z, prec) for prec in (512, 1024) for z in (F(1, 2), F(7, 2), F(5, 3))]
 
 
@@ -750,6 +789,11 @@ class TestExperimental:
         # alpha+beta+1+j(z+1) is 0 at j = 1: a denominator pole that the
         # route skips and the reference sees as rgamma(0) = 0
         (0.25, -2.75, 0.3, 0.5),
+        # the same pole with rational parameters: z = 1/2 strides by q = 2,
+        # and term 3 must not come from the skipped term 1
+        (F(1, 4), F(-11, 4), F(3, 10), F(1, 2)),
+        # z = 301/3: a stride step of 1210 factors, so every term from gammas
+        (F(1, 2), F(1, 3), F(11, 6), F(301, 3)),
     ])
     def test_matches_nsum_reference(self, params):
         # the route at 53 bits and the default rel_tol against mpmath's nsum
@@ -820,10 +864,10 @@ class TestExperimental:
         (0.5, 1.0, 0.5, 0.5 + 0.5j),
         (0.5, 1.0, 0.5, F(1, 50)),
     ])
-    def test_matches_zeta_tail(self, params, prec, monkeypatch):
+    def test_matches_zeta_tail(self, params, prec):
         # the one series in 1/N against the per-order Hurwitz-zeta tail it
-        # replaced, on the same direct terms
-        got, want = zeta_tail_reference(params, EvalContext(precision=prec), monkeypatch)
+        # replaced, on direct terms of the reference's own
+        got, want = zeta_tail_reference(params, EvalContext(precision=prec))
         assert abs(got - want) <= mpmath.mpf(2) ** -(prec - 2) * abs(want)
 
     def test_small_z(self):
@@ -859,6 +903,54 @@ class TestExperimental:
         res = s_direct(RamanujanParams(0.25, -2.75, 0.3, 0.5), self.CTX)
         assert res.experimental
         assert res.value.finite is not None
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    @pytest.mark.parametrize("index", range(len(FROZEN_EXPERIMENTAL)))
+    def test_frozen_bits(self, index, prec):
+        # the real part as (mantissa, exponent), frozen from the route when
+        # every direct term took four gamma calls and e_k ran in mpf
+        params, bits = FROZEN_EXPERIMENTAL[index]
+        val = s_direct(RamanujanParams(*params), EvalContext(precision=prec)).value.finite
+        with mpmath.workprec(prec):
+            v = val.to_mpc(prec)
+            assert v.imag == 0
+            assert v.real == mpmath.mpf(bits[prec])
+
+    @pytest.mark.parametrize("z, calls", [(F(7, 2), 2), (F(5, 3), 3), (F(301, 3), None)])
+    def test_gamma_calls(self, z, calls, monkeypatch):
+        # with every gamma argument positive from j = 0, only the first q
+        # terms of z = p/q take gammas; z = 301/3 (4p + 2q = 1210 factors
+        # per stride step) takes them for every term
+        seen = []
+        term = ramanujan_sum._gamma_term_float
+        monkeypatch.setattr(ramanujan_sum, "_gamma_term_float",
+                            lambda *args: seen.append(args[-1]) or term(*args))
+        res = s_direct(RamanujanParams(F(1, 2), F(1, 3), F(11, 6), z),
+                       EvalContext(precision=53))
+        assert seen == list(range(calls or res.terms_used))
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    @pytest.mark.parametrize("params", [
+        (F(1, 2), F(1, 3), F(11, 6), F(1, 2)),
+        (F(1), F(1, 3), F(1, 2), F(7, 2)),
+    ])
+    def test_fixed_point_expansion(self, params, prec):
+        # e_0..e_60 in integers scaled by 2^W and in mpf at W bits, each
+        # against mpf at 2W bits.  Fixed point keeps an absolute 2^-W, so a
+        # small e_k loses relative bits (here e_47 at alpha = 1, z = 7/2, of
+        # size 5e-7, keeps about 3 at P = 53), and mpf at W loses up to 25
+        # bits to cancellation (e_34 on the Beta plane).  The tail reads
+        # e_k N^-(k+1), so both are held to 2^-(W-8) on that scale.
+        w = prec + 30
+        n_direct = s_direct(RamanujanParams(*params), EvalContext(precision=prec)).terms_used
+        fixed = expansion_values(params, w, True)
+        plain = expansion_values(params, w, False)
+        ref = expansion_values(params, 2 * w, False)
+        with mpmath.workprec(2 * w):
+            for k in range(61):
+                tol = mpmath.ldexp(max(abs(ref[k]), mpmath.mpf(n_direct) ** k), 8 - w)
+                assert abs(fixed[k] - ref[k]) <= tol
+                assert abs(plain[k] - ref[k]) <= tol
 
     def test_budget_exhaustion(self, monkeypatch):
         # N direct terms above max_terms are refused before any is summed
