@@ -102,7 +102,7 @@ def askey_ismail_rhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> Eva
 
     def prefactor(a, c, d):  # one term, j = 1: a vanishing denominator raises PoleError
         return SphereValue.of(pochhammer_sum([1], [(d - a, 0, k, 0), (d - c, 0, k, 0)],
-                                             [(d - a - c, k), (d, k)], first=1))
+                                             [(d - a - c, k), (d, k)], first=1, ctx=ctx))
 
     pref = exact_first(prefactor, (a, c, d), ctx)
     inner = eval_at_1(HypParams((Scalar.exact(-k), a, c), (d + k, d - c)), ctx)

@@ -196,11 +196,12 @@ def term(params: HypParams, j: int) -> Scalar:
     return _terms(params.numerator, params.denominator, j, j)
 
 
-def _terms(nums, dens, first: int, last: int) -> Scalar:
+def _terms(nums, dens, first: int, last: int,
+           ctx: Optional[EvalContext] = None) -> Scalar:
     """Terms first..last of the series, term j being prod (a)_j / (prod (b)_j j!),
-    summed by pochhammer_sum."""
+    summed by pochhammer_sum (which refuses too much factor work for ctx)."""
     return pochhammer_sum([1] * (last + 1 - first), [(a, 0, 0, 1) for a in nums],
-                          [(b, 1) for b in dens] + [(1, 1)], first)
+                          [(b, 1) for b in dens] + [(1, 1)], first, ctx)
 
 
 def _finite_sum_result(value: SphereValue, cls: SeriesClassification) -> EvalResult:
@@ -417,10 +418,11 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     Terminating series are summed by pochhammer_sum through exact_first:
     exactly whenever every parameter is real (a float as the exact rational
     it is, the sum rounded once to ctx.precision), in float with guard bits
-    for complex parameters; one that ends past k = ctx.max_terms is refused
-    with InvalidParametersError.  Convergent p <= q series go to mp.hyper at
-    ctx.precision; balanced p = q+1 series by _sum_balanced until the
-    estimated tail drops below max(rel_tol * |partial|, abs_tol).
+    for complex parameters; one that ends past k = ctx.max_terms, or whose
+    Pochhammer products take more than ctx.max_terms ** 2 of factor work, is
+    refused with InvalidParametersError.  Convergent p <= q series go to
+    mp.hyper at ctx.precision; balanced p = q+1 series by _sum_balanced
+    until the estimated tail drops below max(rel_tol * |partial|, abs_tol).
     Divergent input is refused.
     """
     cls = classify(params, ctx)
@@ -430,7 +432,7 @@ def eval_at_1(params: HypParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     if cls.kind is SeriesKind.TERMINATING:
         checked_count("the terminating index k", cls.k, ctx)
         value = exact_first(
-            lambda *xs: SphereValue.of(_terms(xs[:params.p], xs[params.p:], 0, cls.k)),
+            lambda *xs: SphereValue.of(_terms(xs[:params.p], xs[params.p:], 0, cls.k, ctx)),
             params.numerator + params.denominator, ctx)
         return _finite_sum_result(value, cls)
     if params.p <= params.q:

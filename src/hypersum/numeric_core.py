@@ -700,11 +700,31 @@ def pochhammer(a, j: int) -> Scalar:
     return 1 / down
 
 
+def _factor_work(lengths: Sequence[tuple], first: int, last: int) -> int:
+    """sum over terms j = first..last and lengths (l0, l1) of L (L-1) / 2,
+    L = l0 + j l1: the factors handled in building each term's Pochhammer
+    products one factor at a time (partial products of 1, ..., L-1 factors,
+    each times one more), in closed form.  A product extended from the last
+    term's does less, so this bounds it too."""
+    def sum_squares(x):  # sum of i^2 over i = 0..x, 0 for x < 0
+        return x * (x + 1) * (2 * x + 1) // 6 if x > 0 else 0
+
+    n = last - first + 1
+    s1 = (first + last) * n // 2
+    s2 = sum_squares(last) - sum_squares(first - 1)
+    return sum(n * l0 * l0 + 2 * l0 * l1 * s1 + l1 * l1 * s2 - (n * l0 + l1 * s1)
+               for l0, l1 in lengths) // 2
+
+
 def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
-                   den: Sequence[tuple] = (), first: int = 0) -> Scalar:
+                   den: Sequence[tuple] = (), first: int = 0,
+                   ctx: Optional[EvalContext] = None) -> Scalar:
     """sum_j w_j prod (a + j b)_{l0 + j l1} / prod (c)_{l j} over j = first,
     first + 1, ..., one term per integer weight, with the progressions
     (a, b, l0, l1) in ``num`` and (c, l) in ``den``; no length may be negative.
+    With ctx, a sum whose factor work (_factor_work) is above
+    ctx.max_terms ** 2 raises InvalidParametersError before any term is
+    summed.
 
     Rational factors are summed in integers: (A/q + j B/q)_L is
     prod_{i<L} (A + jB + iq) / q^L, and each q's powers go to one common
@@ -721,6 +741,12 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
     last = first + len(weights) - 1
     if weights and any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
         raise ValueError("a Pochhammer length is negative on the summation range")
+    if ctx is not None and weights:
+        work = _factor_work([(l0, l1) for *_, l0, l1 in progs], first, last)
+        if work > ctx.max_terms ** 2:
+            raise InvalidParametersError(
+                f"its Pochhammer products take {work} units of factor work, more "
+                f"than max_terms^2 = {ctx.max_terms ** 2} (max_terms = {ctx.max_terms})")
     factors = [x for a, b, *_ in progs for x in (a, b)]
     e0, e1 = Counter(), Counter()  # term j has q^(e0[q] + j e1[q]) in its denominator
     exact = all(x.is_rational for x in factors)

@@ -17,15 +17,18 @@ summed as a balanced hypergeometric series; any other z is summed directly
 up to a cutoff N and completed by an Euler-Maclaurin tail, the Hurwitz zeta
 values zeta(2+k, N) at the integer N folded into one power series in 1/N,
 and those results are marked experimental.  For real rational parameters
-(real floats as their dyadic rationals) that tail is computed in
-fixed-point integers, and at z = p/q > 0 most direct terms follow from the
-one q places back by an exact integer ratio instead of four gamma calls.
+(real floats as their dyadic rationals) the direct terms, the tail and
+their sums are fixed-point integers, and at z = p/q > 0 most direct terms
+follow from the one q places back by an exact integer ratio instead of
+four gamma calls; mpf is left for those gamma calls, the tail's constant,
+the stop bound and the final rounding.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -157,9 +160,22 @@ def s_closed_form(p: RamanujanParams, ctx: Optional[EvalContext] = None) -> Sphe
                        (p.alpha, p.beta, p.m), ctx or DEFAULT_CONTEXT)
 
 
-def _signed_binomials(n: int, first: int = 0) -> list:
-    """(-1)^j C(n, j) = (-n)_j / j! for j = first, ..., n."""
-    return [(-1) ** j * math.comb(n, j) for j in range(first, n + 1)]
+class _SignedBinomials(Sequence):
+    """(-1)^j C(n, j) = (-n)_j / j! for j = first, ..., n, each made when it
+    is read, so that pochhammer_sum can refuse a sum from its length before
+    any of these n-bit integers exists."""
+
+    def __init__(self, n: int, first: int = 0):
+        self.n, self.first = n, first
+
+    def __len__(self):
+        return self.n + 1 - self.first
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        j = self.first + i
+        return (-1) ** j * math.comb(self.n, j)
 
 
 def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
@@ -169,23 +185,25 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
         # leaving (beta+1-k)_k; this keeps m = 0 well-defined.  Term j >= 1
         # is m (beta+1-k+j(z+1))_{k-j} (m+1+jz)_{j-1} (-k)_j / j!.
-        rest = pochhammer_sum(_signed_binomials(k, 1),
+        rest = pochhammer_sum(_SignedBinomials(k, 1),
                               [(beta + 1 - k, z + 1, k, -1), (m + 1, z, -1, 1)],
-                              first=1)
+                              first=1, ctx=ctx)
         return SphereValue.of(pochhammer(beta + 1 - k, k) + m * rest)
 
     value = exact_first(direct_sum, (p.beta, p.m, p.z), ctx)
     return _finite_sum_result(value, _terminating_cls(k))
 
 
-# One stride step of the direct terms multiplies 4p + 2q linear factors for
-# z = p/q (see _stride); from _STRIDE_FACTORS factors on, four mp.gamma calls
-# are cheaper.  At 53 bits (83 working bits; a 2-core x86_64 host, Python
-# 3.11, mpmath 1.3.0 on its Python backend) a step of 256 factors took 57 us
-# against 150-173 us for one _gamma_term_float call at z = 1/2, 7/2 and
-# 301/3, and the two met near 512 factors; gammas only cost more at higher
-# precision.
-_STRIDE_FACTORS = 256
+# One stride step of the direct terms multiplies 4p + 4q linear factors for
+# z = p/q (see _stride), (alpha)_j / j!'s 2q among them.  At 53 bits (83
+# working bits; a 2-core x86_64 host, Python 3.11, mpmath 1.3.0 on its
+# Python backend) a step of 512 factors took 38-43 us against 76-101 us for
+# one _gamma_term_float call with its weight and lift, and the two met near
+# 770 factors (near 1000 at 256 bits, where gammas cost more); the bound
+# keeps a step at about half a gamma term, and every z = p/q with
+# 4p + 2q < 256, which stepped when the count left out the (alpha)-factors,
+# still steps.
+_STRIDE_FACTORS = 512
 
 
 def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
@@ -208,33 +226,45 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     Hurwitz zeta summed to an absolute 2^-prec, as mpmath's is, loses the
     bits of these tiny values.
 
-    Tail terms are added until one falls below 2^-(P+30) of |S|, abs_tol
-    standing in for |S| near 0; a tail not settled by depth 0.6 (P+30)
-    raises ConvergenceError, as does N above max_terms, before any term is
-    summed.  N is (0.2 (P+30) + r) / min(|z|, 1) rounded up, with r the
+    Tail terms are added until one after the first falls below 2^-(P+30)
+    of |S|, abs_tol standing in for |S| near 0; a tail not settled by depth
+    0.6 (P+30) raises ConvergenceError, as does N above max_terms, before
+    any term is summed.  N is (0.2 (P+30) + r) / min(|z|, 1) rounded up, with r the
     largest |b| or |c|, and at least 16, so that both expansions converge
     fast from N on; for real z every gamma argument past N has a positive
     real part, so no pole lies in the tail.  Re z <= 0 is refused: the
     expansion does not hold there, and the direct terms run first so that a
     pole or the divergence guard names where the series breaks down.
 
-    tail_bound is the larger of |m| times the last tail term and 2^-P |S|,
-    the rounding to P bits, which the stop rule makes the larger whenever
-    |S| is above abs_tol.  On the plane m = alpha+beta+1 (alpha = 1/2,
-    beta = 1/3; z = 1/2, 7/2, 5/3) the value is right to 512.4-513.2 bits
-    at P = 512 and to 1024.7-1027.5 bits at P = 1024.
+    tail_bound is the larger of |m C| times the last two tail terms and
+    2^-P |S|, the rounding to P bits, which the stop rule makes the larger
+    whenever |S| is above abs_tol.  Below abs_tol the stop comes early and
+    the remainder past the last term is what the estimate must cover; the
+    term before the last is counted because the last can fall near a sign
+    change of the oscillating tail series (at S(81/2, 1, 1/2, 1/2),
+    P = 128, it reads 2.8e-80 after 5.6e-78, against an error of 7.9e-80).
+    On the plane m = alpha+beta+1 (alpha = 1/2, beta = 1/3; z = 1/2, 7/2,
+    5/3) the value is right to 512.4-513.2 bits at P = 512 and to
+    1024.7-1027.5 bits at P = 1024.
 
-    Arithmetic, chosen by hyper_series._arithmetic at W = P+30 bits: with
-    all four parameters real rationals (a real float as its dyadic
-    rational) e_k and the fold c_n run in integers scaled by 2^W, and for
-    z = p/q > 0 with 4p + 2q below _STRIDE_FACTORS the gamma part of term
-    j+q is that of term j times the exact integer ratio of _stride_ratio, once
-    all four gamma arguments of term j are positive.  Every other direct
-    term takes four mp.gamma calls in _gamma_term_float, so poles are
-    found as before.  A complex parameter (or a sqrt(pi) multiple) sends
-    e_k and c_n to mpc (mpf when all four are real) on the same code, with
-    every direct term from _gamma_term_float.  The direct terms, C and the
-    sum of the tail are mpf or mpc at W bits either way.
+    Arithmetic, chosen by hyper_series._arithmetic at W = P+30 bits, one
+    loop for both.  With all four parameters real rationals (a real float
+    as its dyadic rational) the direct terms, e_k, the fold c_n and both
+    sums are integers scaled by 2^W.  A direct term from _gamma_term_float
+    (four mp.gamma calls, times (alpha)_j/j! as a running mpf advanced only
+    when a gamma term is needed) is lifted once, over 2^E with E the binary
+    exponent of the first such term, so that a sum far below 1 keeps W
+    bits.  For z = p/q > 0 with 4p + 4q below _STRIDE_FACTORS, term j+q is
+    term j times the exact integer ratio of _stride_ratio, once the four
+    gamma arguments of term j are positive; the last q terms are kept in a
+    ring.  Every other direct term takes gammas, so poles are found as
+    before.  Tail term n is c_n / N^(n+1), a product of two numbers, and the
+    stop bound is carried into the same units, not rounded to them.  A
+    complex parameter (or a sqrt(pi) multiple) runs the same loops in mpc
+    (mpf when all four are real), with every direct term from gammas.
+    mpf or mpc remains only for the gamma seeds and their weight, for C
+    (two mp.power calls and an rgamma), for the stop bound and for the
+    final rounding, where the direct sum, C and the tail meet once.
     """
     prec_work = ctx.precision + 30
     with working_precision(prec_work):
@@ -244,8 +274,8 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
             args = [x.real for x in args]
             number = mp.mpf
         fa, fb, fm, fz = args
-        one = number(1)
-        pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (one, fa, one))
+        unit = number(1)
+        pairs = ((fz, fb + 1, fm + 1), (fz + 1, fm, fa + fb + 1), (unit, fa, unit))
         reach = max(abs(x) for _, b, c in pairs for x in (b, c))
         n_direct = max(16, int(mp.ceil((0.2 * prec_work + reach)
                                        / min(abs(fz), 1))))
@@ -255,30 +285,39 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 f"more than max_terms = {ctx.max_terms}",
                 partial=Scalar(val=mp.mpc(0), prec=prec_work))
         ints, d, arith = _arithmetic((p.alpha, p.beta, p.m, p.z), prec_work)
-        # without a stride recurrence q = N: every term takes gammas
-        q, forms = (None if arith is _MPMATH else _stride(ints, d)) or (n_direct, ())
-        acc = number(0)
-        poch_a = one
-        fact = mp.mpf(1)
+        one, _, div, value, lift = arith
+        # without a stride recurrence (q = 0) every term takes gammas
+        q, forms = (None if arith is _MPMATH else _stride(ints, d)) or (0, ())
+        ring = [None] * q   # term i at i mod q, or None where i+q cannot step from it
+        acc = 0             # the direct sum over 2^exp2, exp2 the first term's size
+        exp2 = None
+        poch_a, fact, at = unit, mp.mpf(1), 0   # (alpha)_at and at!, advanced on demand
         grow_streak = 0
         prev_mag = None
-        seeds = []   # the gamma part of term j, or None where j+q cannot step from it
         for j in range(n_direct):
-            if j > 0:
-                poch_a = poch_a * (fa + (j - 1))
-                fact = fact * j
-            if j >= q and seeds[j - q] is not None:
+            back = ring[j % q] if q and j >= q else None
+            if back is not None:
                 num, den = _stride_ratio(forms, d, j - q)
-                t = seeds[j - q] * num / den
-                seeds.append(t)
+                t = ring[j % q] = div(back * num, den)
             else:
                 t = _gamma_term_float(fa, fb, fm, fz, j)
-                positive = all(x0 + j * x1 > 0 for x0, x1, _ in forms)
-                seeds.append(t if positive else None)
+                if t is not None:
+                    for i in range(at, j):
+                        poch_a = poch_a * (fa + i)
+                        fact = fact * (i + 1)
+                    at = j
+                    t = t * poch_a / fact
+                    if exp2 is None:
+                        exp2 = int(mp.mag(t)) if t else 0
+                    t = lift(t * mp.ldexp(1, -exp2))
+                if q:
+                    # the two gamma ratios step only from positive arguments;
+                    # the third pair, (alpha)_j / j!, is rational in j
+                    positive = all(x0 + j * x1 > 0 for pair in forms[:2] for x0, x1, _ in pair)
+                    ring[j % q] = t if positive else None
             if t is None:
                 continue
-            t = t * poch_a / fact
-            acc = acc + t
+            acc += t
             mag = abs(t)
             if prev_mag is not None and prev_mag > 0:
                 grow_streak = grow_streak + 1 if mag >= prev_mag else 0
@@ -295,41 +334,52 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 SeriesClassification(SeriesKind.DIVERGENT))
         scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
             * mp.rgamma(fa)
+        direct = value(acc * one) * mp.ldexp(1, exp2 or 0)
         # the tail scale * sum_n c_n N^-(n+1), where
         # (n+1) c_n = sum_r C(n+1, r) B_r e_(n-r) over row n, B_1 taken as +1/2;
-        # the row's dot product is a product of two numbers, read by value
-        lifted = [tuple(map(arith.lift, pair)) for pair in pairs]
-        step = mp.mpf(1) / n_direct
-        power = scale * step
-        total = acc
-        eps = mp.mpf(2) ** -prec_work
+        # the row's dot product is a product of two numbers, and so is each
+        # tail term conv / ((n+1) N^(n+1)) and their sum
+        lifted = [tuple(map(lift, pair)) for pair in pairs]
+        tail, last, prev = 0, 0, 0
+        power = n_direct   # N^(n+1)
+        # the stop bound on a tail term, in the same units: a term below
+        # 2^-W max(|S|, abs_tol) / |m scale|, with |S| re-read only when a
+        # term passes the last bound
+        bound = None
+        eps_units = mp.ldexp(one * one, -prec_work)
         depth = int(0.6 * prec_work)
         for n, (e, row) in zip(range(depth + 1), _gamma_ratio_expansion(lifted, arith)):
             conv = sum(w * e[n - r] for r, w in row)
             if n:   # B_1 from -1/2 to +1/2
-                conv += (n + 1) * e[n - 1] * arith.one
-            last = power * arith.value(conv) / (n + 1)
-            total = total + last
-            if last != 0 and abs(fm * last) < eps * max(abs(fm * total),
-                                                          ctx.abs_tol):
-                break
-            power = power * step
+                conv += (n + 1) * e[n - 1] * one
+            prev, last = last, div(conv, (n + 1) * power)
+            tail += last
+            if n and last != 0 and (bound is None or abs(last) < bound):
+                total = direct + scale * value(tail)
+                bound = eps_units * max(abs(fm * total), ctx.abs_tol) / abs(fm * scale)
+                if abs(last) < bound:
+                    break
+            power *= n_direct
         else:
             raise ConvergenceError(
                 f"asymptotic tail not settled at depth {depth} past "
                 f"{n_direct} direct terms",
-                partial=Scalar(val=mp.mpc(fm * total), prec=prec_work),
+                partial=Scalar(val=mp.mpc(fm * (direct + scale * value(tail))),
+                               prec=prec_work),
                 terms_used=n_direct)
         with working_precision(ctx.precision):
             val = mp.mpc(fm * total)
-        # the last tail term or the rounding to P bits, whichever is larger;
-        # rounded up to the least positive float rather than to 0.0, which
-        # an estimate below 2^-1074 (P beyond about 1000 bits) would give
-        tail = max(float(max(abs(fm * last), mp.ldexp(abs(val), -ctx.precision))),
-                   math.ulp(0.0))
+        # the last two tail terms, since the last alone can fall near a sign
+        # change of the oscillating tail series, or the rounding to P bits,
+        # whichever is larger; rounded up to the least positive float rather
+        # than to 0.0, which an estimate below 2^-1074 (P beyond about 1000
+        # bits) would give
+        rest = abs(fm * scale) * (abs(value(prev)) + abs(value(last)))
+        tail_bound = max(float(max(rest, mp.ldexp(abs(val), -ctx.precision))),
+                         math.ulp(0.0))
         return EvalResult(
             SphereValue.of(Scalar(val=val, prec=ctx.precision)),
-            n_direct, tail, SeriesClassification(SeriesKind.CONVERGENT),
+            n_direct, tail_bound, SeriesClassification(SeriesKind.CONVERGENT),
             experimental=True)
 
 
@@ -337,34 +387,38 @@ def _stride(ints, d: int):
     """(q, forms) for alpha, beta, m, z = ints / d when z = p/q > 0 and one
     stride step multiplies fewer than _STRIDE_FACTORS factors, else None.
 
-    forms lists the four gamma arguments of term j as (x0 + j x1) / d,
-    numerators first, each with its shift over q terms: jz grows by p and
-    j(z+1) by p+q, so the gamma part of term j+q is that of term j times
-    (beta+1+jz)_p (m+j(z+1))_(p+q) / ((alpha+beta+1+j(z+1))_(p+q) (m+1+jz)_p),
-    4p + 2q factors.
+    forms holds, for each of the three ratios of _s_direct_experimental's
+    pairs, its numerator and its denominator argument at term j as
+    (x0 + j x1) / d, each with its shift over q terms: jz grows by p, j(z+1)
+    by p+q and j by q, so term j+q is term j times
+    (beta+1+jz)_p (m+j(z+1))_(p+q) (alpha+j)_q
+    / ((m+1+jz)_p (alpha+beta+1+j(z+1))_(p+q) (j+1)_q),
+    4p + 4q factors.
     """
     a, b, m, z = ints
     if z <= 0:
         return None
     g = math.gcd(z, d)
     p, q = z // g, d // g
-    if 4 * p + 2 * q >= _STRIDE_FACTORS:
+    forms = (((b + d, z, p), (m + d, z, p)),
+             ((m, z + d, p + q), (a + b + d, z + d, p + q)),
+             ((a, d, q), (d, d, q)))
+    if sum(length for pair in forms for _, _, length in pair) >= _STRIDE_FACTORS:
         return None
-    return q, ((b + d, z, p), (m, z + d, p + q), (a + b + d, z + d, p + q), (m + d, z, p))
+    return q, forms
 
 
 def _stride_ratio(forms, d: int, j: int):
-    """The gamma part of term j+q over that of term j, as (num, den), for
-    the forms of _stride: each Pochhammer factor (x0 + j x1)/d + i is
-    (x0 + j x1 + i d)/d, and the d's cancel because numerator and
-    denominator hold as many factors."""
-    ratio = []
-    for x0, x1, length in forms:
-        x, prod = x0 + j * x1, 1
-        for i in range(length):
-            prod *= x + i * d
-        ratio.append(prod)
-    return ratio[0] * ratio[1], ratio[2] * ratio[3]
+    """Term j+q over term j, as (num, den), for the forms of _stride: each
+    Pochhammer factor (x0 + j x1)/d + i is (x0 + j x1 + i d)/d, and the d's
+    cancel because numerator and denominator hold as many factors."""
+    num = den = 1
+    for pair in forms:
+        (x0, x1, length), (y0, y1, _) = pair
+        x, y = x0 + j * x1, y0 + j * y1
+        num *= math.prod(range(x, x + length * d, d))
+        den *= math.prod(range(y, y + length * d, d))
+    return num, den
 
 
 def _gamma_term_float(fa, fb, fm, fz, j):
@@ -441,17 +495,21 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     s_integer_form.  Anything else is evaluated experimentally: N direct
     terms, then the tail C sum_k e_k zeta(2+k, N) summed as one
     Euler-Maclaurin series in 1/N at the integer N, at ctx.precision + 30
-    bits until a tail term falls below 2^-(precision+30) of the sum.  With
-    all four parameters real rationals (real floats as their dyadic
-    rationals), e_k and the fold run in fixed-point integers and, at
-    z = p/q > 0 with 4p + 2q < 256, direct term j+q is term j times an exact
-    integer ratio once term j's gamma arguments are all positive; every
-    other direct term takes four mp.gamma calls, and complex parameters or
-    sqrt(pi) multiples keep the whole route in mpmath floats.
-    terms_used is N and tail_bound the larger of |m| times the last tail
-    term and 2^-precision |S|, an estimate that covers the final rounding.
-    Re z <= 0 raises PoleError or DivergentSeriesError.  A terminating k
-    or an integer z above ctx.max_terms raises InvalidParametersError.
+    bits until a tail term past the first falls below 2^-(precision+30) of
+    the sum.  With all four parameters real rationals (real floats as their
+    dyadic rationals), the direct terms, e_k, the fold and both sums are
+    fixed-point integers: at z = p/q > 0 with 4p + 4q < 512, direct term
+    j+q is term j times an exact integer ratio once term j's gamma
+    arguments are all positive, and every other direct term takes four
+    mp.gamma calls and is lifted into the integers once.  The direct sum,
+    the tail's constant C and the tail sum meet in mpf only for the final
+    rounding.  Complex parameters or sqrt(pi) multiples run the same loops
+    in mpmath floats.  terms_used is N and tail_bound the larger of |m C|
+    times the last two tail terms and 2^-precision |S|, an estimate that
+    covers the final rounding.  Re z <= 0 raises PoleError or
+    DivergentSeriesError.  A terminating k or an integer z above
+    ctx.max_terms, or a terminating sum whose factor work is above
+    ctx.max_terms ** 2 (see pochhammer_sum), raises InvalidParametersError.
     """
     if p.terminating_k is not None:
         return _s_direct_terminating(p, ctx)
@@ -491,7 +549,7 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
             #         / ((alpha+beta+1)_{(n+1)j} (m+1)_{nj} j!)
             acc = pochhammer_sum([1] * (k + 1),
                                  [(beta + 1, 0, 0, n), (m, 0, 0, n + 1), (alpha, 0, 0, 1)],
-                                 [(alpha + beta + 1, n + 1), (m + 1, n), (1, 1)])
+                                 [(alpha + beta + 1, n + 1), (m + 1, n), (1, 1)], ctx=ctx)
             return _prefactor(alpha, beta) * SphereValue.of(acc)
 
         value = exact_first(stride_sum, (p.alpha, p.beta, p.m), ctx)
@@ -577,8 +635,8 @@ def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
     checked_count("r", r, ctx)
 
     def alternating_sum(m):
-        return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + r, 0, 0, n)],
-                                             [(m + 1, n)]))
+        return SphereValue.of(pochhammer_sum(_SignedBinomials(r), [(m + r, 0, 0, n)],
+                                             [(m + 1, n)], ctx=ctx))
 
     return exact_first(alternating_sum, (m,), ctx).finite
 
@@ -596,7 +654,8 @@ def finite_difference_check(m, n: int, r: int,
     checked_count("r", r, ctx, positive=True)
 
     def alternating_sum(m):
-        return SphereValue.of(pochhammer_sum(_signed_binomials(r), [(m + 1, n, r - 1, 0)]))
+        return SphereValue.of(pochhammer_sum(_SignedBinomials(r), [(m + 1, n, r - 1, 0)],
+                                             ctx=ctx))
 
     return exact_first(alternating_sum, (m,), ctx).finite
 

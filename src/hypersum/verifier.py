@@ -130,15 +130,19 @@ def verify_point(alpha, beta, m, z,
     """Compare the series value S(alpha, beta, m, z) with the claimed closed
     form Gamma(beta+1-m)/Gamma(alpha+beta+1-m).  Evaluation failures (poles,
     refusal to sum, budget exhaustion) yield PoleSkipped, never an exception."""
-    ctx = ctx or DEFAULT_CONTEXT
-    p = RamanujanParams(alpha, beta, m, z)
+    return _verify(RamanujanParams(alpha, beta, m, z), ctx or DEFAULT_CONTEXT,
+                   rel_tol, _SKIPPABLE)
+
+
+def _verify(p: RamanujanParams, ctx: EvalContext, rel_tol: float,
+            skippable: tuple) -> IdentityReport:
     context = {"alpha": str(p.alpha), "beta": str(p.beta),
                "m": str(p.m), "z": str(p.z)}
     lhs = rhs = None
     try:
         lhs = s_direct(p, ctx).value
         rhs = s_closed_form(p, ctx)
-    except _SKIPPABLE as exc:
+    except skippable as exc:
         context["error"] = f"{type(exc).__name__}: {exc}"
         return IdentityReport(lhs, rhs, math.nan, math.nan,
                               Verdict.POLE_SKIPPED, context)
@@ -149,10 +153,13 @@ def verify_theorem(k: int, beta, m, z,
                    ctx: Optional[EvalContext] = None,
                    rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """The terminating summation: S(-k, beta, m, z) against (beta+1-m-k)_k.
-    k above ctx.max_terms is refused, as a negative k is."""
+    A negative k, a k above ctx.max_terms and a sum whose factor work is
+    above ctx.max_terms ** 2 (see numeric_core.pochhammer_sum) are refused
+    with InvalidParametersError, not recorded."""
     ctx = ctx or DEFAULT_CONTEXT
     checked_count("k", k, ctx)
-    return verify_point(-k, beta, m, z, ctx, rel_tol)
+    refusable = tuple(e for e in _SKIPPABLE if e is not InvalidParametersError)
+    return _verify(RamanujanParams(-k, beta, m, z), ctx, rel_tol, refusable)
 
 
 def counterexample_eq9(alpha, beta,

@@ -279,6 +279,26 @@ class TestVerify:
         assert "max_terms = 100000" in lines[0]
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "inner-sum", "--m=1/3", "--n=100000", "--r=1000"],
+        ["verify", "theorem", "--k=100000", "--beta=1/2", "--m=1/3", "--z=7/2"],
+    ])
+    def test_factor_work_above_budget_exits_1_quickly(self, argv):
+        # each count is within max_terms, but the Pochhammer products would
+        # take about n^2 r^3 / 3 and k^3 / 3 of factor work, far above
+        # max_terms^2;
+        # both ran without end before the sum counted its work
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "hypersum.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 1
+        assert not proc.stdout
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("hypersum: invalid parameters:")
+        assert "max_terms^2 = 10000000000" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "theorem", "--k=1500", "--beta=1/2", "--m=1/3", "--z=7/2"],
         ["eval", "ramanujan", "--alpha=-2000", "--beta=1/2", "--m=1/3", "--z=7/2"],
     ])

@@ -10,6 +10,7 @@ from mpmath import mp
 from hypersum.numeric_core import (
     EvalContext,
     IndeterminateError,
+    InvalidParametersError,
     PoleError,
     PrecisionMixError,
     Scalar,
@@ -21,6 +22,7 @@ from hypersum.numeric_core import (
     pochhammer_sphere,
     pochhammer_sum,
     scalar,
+    _factor_work,
 )
 
 # Reference values computed once at 200 bits and frozen as strings.
@@ -454,6 +456,42 @@ class TestPochhammerSum:
                        / (mpmath.rf(zz + 2, j) * mpmath.factorial(j))
                        for j, w in enumerate([1, -3, 3, -1]))
             assert rel_err(got.to_mpc(prec), want) < mpmath.mpf(2) ** -(prec - 8)
+
+
+class TestFactorWork:
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=50),
+                              st.integers(min_value=-2, max_value=6)), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_the_sum(self, first, span, lengths):
+        last = first + span
+        lengths = [(max(l0, -l1 * first, -l1 * last), l1) for l0, l1 in lengths]
+        want = sum((l0 + j * l1) * (l0 + j * l1 - 1) // 2
+                   for l0, l1 in lengths for j in range(first, last + 1))
+        assert _factor_work(lengths, first, last) == want
+
+    def test_refused_above_max_terms_squared(self):
+        # 21 terms of (1/3)_{50 j} over (2/3)_{50 j}: twice the sum of
+        # 50 j (50 j - 1) / 2 over j <= 20, 7,164,500, which is above
+        # 2676^2 = 7,160,976 and below 2677^2; refused before any weight is read
+        num, den = [(Fraction(1, 3), 0, 0, 50)], [(Fraction(2, 3), 50)]
+        with pytest.raises(InvalidParametersError, match="7164500"):
+            pochhammer_sum(WeightsNeverRead(21), num, den, ctx=EvalContext(max_terms=2676))
+        assert pochhammer_sum([1] * 21, num, den, ctx=EvalContext(max_terms=2677)) \
+            == pochhammer_sum([1] * 21, num, den)
+
+
+class WeightsNeverRead:
+    """A weight sequence of the given length whose entries must not be read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("weights read before the work was checked")
 
 
 class TestGammaRatio:

@@ -967,3 +967,95 @@ class TestExperimental:
                 s_direct(RamanujanParams(*params), ctx)
             assert exc.value.partial is not None
         assert len(calls) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def nsum_reference(params, prec=400):
+    """m times mpmath's nsum of the defining gamma-ratio series at prec bits."""
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    alpha, beta, m, z = (ctx.mpf(x.numerator) / x.denominator for x in params)
+
+    def term(j):
+        return (ctx.gamma(beta + 1 + j * z) * ctx.gamma(m + j * (z + 1))
+                * ctx.rgamma(alpha + beta + 1 + j * (z + 1))
+                * ctx.rgamma(m + j * z + 1)
+                * ctx.rf(alpha, j) / ctx.factorial(j))
+
+    return m * ctx.nsum(term, [0, ctx.inf], method="richardson")
+
+
+# (alpha, beta, m, z) and {P: correct bits} of the experimental route before
+# its direct terms ran in integers, rounded down to 0.1 bit.  S(81/2, 1, 1/2,
+# 1/2) is about 5.27e-51, below abs_tol, so the stop comes early: its seeds
+# decay like j^-41.5 while (alpha)_j / j! grows, and a fixed-point sum of
+# seed times weight, scaled at the first seed, kept only 16.0 / 23.7 / 132.2
+# bits of it.
+SMALL_OR_WIDE = [
+    ((F(81, 2), F(1), F(1, 2), F(1, 2)), {53: 21.9, 128: 95.7, 256: 222.6}),
+    ((F(25, 2), F(200, 3), F(1, 5), F(3, 2)), {53: 53.7, 128: 129.8, 256: 257.6}),
+]
+
+# (alpha, beta, m, z) and the real and imaginary parts of s_direct's value
+# at 53 and 256 bits as (mantissa, exponent), frozen from the route before
+# its direct terms ran in the route's arithmetic: a complex parameter (the
+# whole route in mpc) and a denominator pole at j = 1 (term 1 skipped, the
+# stride seeded around it)
+FROZEN_COMPLEX_AND_POLE = [
+    ((0.5 + 0.1j, 1.0, 0.5, 0.5), {
+        53: ((3873370450303301, -52), (-1538096528528539, -55)),
+        256: ((49794130688807604842877727625772284088687669840249731431683272080010751506877, -255),
+              (-39546013238963080799962428087068930502180631390434964819276278025608249022167, -259))}),
+    ((F(1, 4), F(-11, 4), F(3, 10), F(1, 2)), {
+        53: ((8138832205239569, -53), (0, 0)),
+        256: ((26157198212879514482200270976668757855256883528528371440312976917270167776861, -254),
+              (0, 0))}),
+]
+
+
+class TestExperimentalIntegerLoops:
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    @pytest.mark.parametrize("index", range(len(SMALL_OR_WIDE)))
+    def test_keeps_correct_bits(self, index, prec):
+        params, bits = SMALL_OR_WIDE[index]
+        res = s_direct(RamanujanParams(*params), EvalContext(precision=prec))
+        ref = nsum_reference(params)
+        with mpmath.workprec(400):
+            err = abs(res.value.finite.to_mpc(prec) - ref)
+            assert err == 0 or -mpmath.log(err / abs(ref), 2) >= bits[prec]
+
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_tail_bound_covers_error_below_abs_tol(self, prec):
+        # |S| is below abs_tol, so the tail stops on the abs_tol floor and
+        # the remainder past its last term is the error: 1.33e-57 at P = 53
+        # and 7.90e-80 at P = 128, against one-term estimates of 9.29e-58
+        # and 2.80e-80
+        params = SMALL_OR_WIDE[0][0]
+        res = s_direct(RamanujanParams(*params), EvalContext(precision=prec))
+        ref = nsum_reference(params)
+        with mpmath.workprec(400):
+            assert res.tail_bound >= abs(res.value.finite.to_mpc(prec) - ref)
+
+    @pytest.mark.parametrize("prec", [53, 256])
+    @pytest.mark.parametrize("index", range(len(FROZEN_COMPLEX_AND_POLE)))
+    def test_frozen_complex_and_pole(self, index, prec):
+        params, parts = FROZEN_COMPLEX_AND_POLE[index]
+        val = s_direct(RamanujanParams(*params), EvalContext(precision=prec)).value.finite
+        with mpmath.workprec(prec):
+            want = mpmath.mpc(*(mpmath.mpf(x) for x in parts[prec]))
+            got = val.to_mpc(prec)
+            assert abs(got - want) <= mpmath.ldexp(abs(want), 2 - prec)
+
+    @pytest.mark.parametrize("z, calls", [(F(1, 126), 126), (F(1, 127), None)])
+    def test_stride_counts_the_weight_factors(self, z, calls, monkeypatch):
+        # a step at z = 1/q multiplies 4 + 4q factors, 2q of them from
+        # (alpha)_j / j!: 508 at q = 126, below _STRIDE_FACTORS = 512, so
+        # only the first q terms take gammas; 512 at q = 127, so every term
+        # does (4 + 2q = 258 would still have stepped)
+        seen = []
+        term = ramanujan_sum._gamma_term_float
+        monkeypatch.setattr(ramanujan_sum, "_gamma_term_float",
+                            lambda *args: seen.append(args[-1]) or term(*args))
+        res = s_direct(RamanujanParams(F(1, 2), F(1, 3), F(11, 6), z),
+                       EvalContext(precision=53))
+        assert seen == list(range(calls or res.terms_used))

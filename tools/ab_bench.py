@@ -14,7 +14,10 @@ seed ``--seed-base + i``, the same on both sides.  The JSON written to
 ``--out`` holds, per workload, every run's summary line and, per end-to-end
 metric of BENCHMARK.json, both sides' values, medians, quartiles and IQRs,
 the per-pair ratios (change / parent) and the number of pairs in which the
-change was better.
+change was better, and each side's attempted and failed op totals.  A run
+that reads ``"correct": false`` (``run.py`` still exits 0 then) makes the
+tool exit 1 without writing ``--out``: a speedup from wrong results is no
+speedup.
 """
 
 from __future__ import annotations
@@ -104,6 +107,20 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def op_totals(runs: list) -> dict:
+    """Per side, the attempted and failed ops summed over the runs."""
+    return {side: {key: sum(r[side].get(key, 0) for r in runs)
+                   for key in ("attempted", "failed")}
+            for side in ("parent", "change")}
+
+
+def wrong_runs(record: dict) -> list:
+    """(workload, seed, side) of every run that does not read "correct": true."""
+    return [(w, pair["seed"], side)
+            for w, entry in record["workloads"].items() for pair in entry["runs"]
+            for side in ("parent", "change") if pair[side].get("correct") is not True]
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -142,8 +159,15 @@ def main(argv=None) -> int:
                 runs.append(pair)
             record["workloads"][workload] = {
                 "runs": runs,
+                "ops": op_totals(runs),
                 "metrics": summarize(runs, metrics) if n_pairs > 1 else {},
             }
+        wrong = wrong_runs(record)
+        if wrong:
+            print("runs not correct, no output written: "
+                  + ", ".join(f"{w} seed {seed} {side}" for w, seed, side in wrong),
+                  file=sys.stderr)
+            return 1
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
