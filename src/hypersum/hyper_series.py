@@ -197,7 +197,7 @@ def term(params: HypParams, j: int) -> Scalar:
 
 
 def _terms(nums, dens, first: int, last: int,
-           ctx: Optional[EvalContext] = None) -> Scalar:
+           ctx: EvalContext = DEFAULT_CONTEXT) -> Scalar:
     """Terms first..last of the series, term j being prod (a)_j / (prod (b)_j j!),
     summed by pochhammer_sum (which refuses too much factor work for ctx)."""
     return pochhammer_sum([1] * (last + 1 - first), [(a, 0, 0, 1) for a in nums],

@@ -718,13 +718,12 @@ def _factor_work(lengths: Sequence[tuple], first: int, last: int) -> int:
 
 def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
                    den: Sequence[tuple] = (), first: int = 0,
-                   ctx: Optional[EvalContext] = None) -> Scalar:
+                   ctx: EvalContext = DEFAULT_CONTEXT) -> Scalar:
     """sum_j w_j prod (a + j b)_{l0 + j l1} / prod (c)_{l j} over j = first,
     first + 1, ..., one term per integer weight, with the progressions
     (a, b, l0, l1) in ``num`` and (c, l) in ``den``; no length may be negative.
-    With ctx, a sum whose factor work (_factor_work) is above
-    ctx.max_terms ** 2 raises InvalidParametersError before any term is
-    summed.
+    A sum whose factor work (_factor_work) is above ctx.max_terms ** 2
+    raises InvalidParametersError before any weight is read.
 
     Rational factors are summed in integers: (A/q + j B/q)_L is
     prod_{i<L} (A + jB + iq) / q^L, and each q's powers go to one common
@@ -741,7 +740,7 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
     last = first + len(weights) - 1
     if weights and any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
         raise ValueError("a Pochhammer length is negative on the summation range")
-    if ctx is not None and weights:
+    if weights:
         work = _factor_work([(l0, l1) for *_, l0, l1 in progs], first, last)
         if work > ctx.max_terms ** 2:
             raise InvalidParametersError(
