@@ -20,6 +20,7 @@ from .numeric_core import (
     DivergentSeriesError,
     ConvergenceError,
     InvalidParametersError,
+    WorkBudgetError,
     IdentityAssertionError,
 )
 from .hyper_series import (
@@ -72,7 +73,8 @@ __all__ = [
     "scalar", "gamma", "pochhammer", "pochhammer_sphere", "gamma_ratio",
     "HypersumError", "UnsupportedExactError", "PoleError",
     "IndeterminateError", "PrecisionMixError", "DivergentSeriesError",
-    "ConvergenceError", "InvalidParametersError", "IdentityAssertionError",
+    "ConvergenceError", "InvalidParametersError", "WorkBudgetError",
+    "IdentityAssertionError",
     "HypParams", "SeriesKind", "SeriesClassification", "EvalResult",
     "classify", "term", "eval_at_1", "pfq",
     "gauss_series_converges", "gauss_closed_form",

@@ -55,6 +55,7 @@ __all__ = [
     "DivergentSeriesError",
     "ConvergenceError",
     "InvalidParametersError",
+    "WorkBudgetError",
     "IdentityAssertionError",
 ]
 
@@ -112,6 +113,11 @@ class ConvergenceError(HypersumError):
 
 class InvalidParametersError(HypersumError, ValueError):
     """Parameter lists that define no series (or no valid operation)."""
+
+
+class WorkBudgetError(InvalidParametersError):
+    """A sum refused before it starts, for more work than its context allows:
+    a count above max_terms, or Pochhammer factor work above max_terms ** 2."""
 
 
 class IdentityAssertionError(HypersumError):
@@ -569,12 +575,13 @@ DEFAULT_CONTEXT = EvalContext()
 def checked_count(name: str, value: int, ctx: EvalContext, positive: bool = False) -> int:
     """value, a count of terms or factors the caller loops over, if it is
     nonnegative (positive when asked) and at most ctx.max_terms; otherwise
-    InvalidParametersError, before anything is allocated or summed."""
+    InvalidParametersError (WorkBudgetError above max_terms), before
+    anything is allocated or summed."""
     if value < int(positive):
         kind = "positive" if positive else "nonnegative"
         raise InvalidParametersError(f"{name} must be a {kind} integer")
     if value > ctx.max_terms:
-        raise InvalidParametersError(
+        raise WorkBudgetError(
             f"{name} = {value} is more than max_terms = {ctx.max_terms}")
     return value
 
@@ -701,19 +708,28 @@ def pochhammer(a, j: int) -> Scalar:
 
 
 def _factor_work(lengths: Sequence[tuple], first: int, last: int) -> int:
-    """sum over terms j = first..last and lengths (l0, l1) of L (L-1) / 2,
-    L = l0 + j l1: the factors handled in building each term's Pochhammer
-    products one factor at a time (partial products of 1, ..., L-1 factors,
-    each times one more), in closed form.  A product extended from the last
-    term's does less, so this bounds it too."""
+    """The factor work of the Pochhammer products of terms j = first..last, in
+    closed form, for lengths (l0, l1, extended): a product of L = l0 + j l1
+    factors at term j.  Built one factor at a time, a product of L factors
+    costs L (L-1) / 2 (partial products of 1, ..., L-1 factors, each times
+    one more).  A rebuilt product pays that at every term.  An extended one
+    (a fixed start, l1 >= 0) is built once, to its last length, and pays L
+    at each term for the product that takes it in."""
     def sum_squares(x):  # sum of i^2 over i = 0..x, 0 for x < 0
         return x * (x + 1) * (2 * x + 1) // 6 if x > 0 else 0
 
     n = last - first + 1
     s1 = (first + last) * n // 2
     s2 = sum_squares(last) - sum_squares(first - 1)
-    return sum(n * l0 * l0 + 2 * l0 * l1 * s1 + l1 * l1 * s2 - (n * l0 + l1 * s1)
-               for l0, l1 in lengths) // 2
+    work = 0
+    for l0, l1, extended in lengths:
+        total = n * l0 + l1 * s1  # sum of L over the terms
+        if extended:
+            top = l0 + last * l1
+            work += top * (top - 1) // 2 + total
+        else:
+            work += (n * l0 * l0 + 2 * l0 * l1 * s1 + l1 * l1 * s2 - total) // 2
+    return work
 
 
 def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
@@ -723,15 +739,17 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
     first + 1, ..., one term per integer weight, with the progressions
     (a, b, l0, l1) in ``num`` and (c, l) in ``den``; no length may be negative.
     A sum whose factor work (_factor_work) is above ctx.max_terms ** 2
-    raises InvalidParametersError before any weight is read.
+    raises WorkBudgetError before any weight is read.
 
     Rational factors are summed in integers: (A/q + j B/q)_L is
-    prod_{i<L} (A + jB + iq) / q^L, and each q's powers go to one common
-    exponent.  A progression with a fixed start, as every denominator has,
-    is extended by its new factors; so each denominator divides the next
-    term's, the running sum is multiplied by the new factors only, and the
-    total is made a Fraction once.  A float factor (exact_first passes them
-    for complex input) runs the same products in mpmath at its precision.
+    prod_{i<L} (A + jB + iq) / q^L.  A progression with a fixed start, as
+    every denominator has, is extended by its new factors, and so are the
+    q-powers, which change by q^(e1[q]) a term: the numerator's go into one
+    running product, the denominator's into the running sum, which is
+    multiplied by the new factors only.  So every product that runs the
+    whole sum grows by small factors, and the total is made a Fraction
+    once.  A float factor (exact_first passes them for complex input) runs
+    the same products in mpmath at its precision.
     A sqrt(pi) multiple raises UnsupportedExactError.  A denominator that
     vanishes first at term j raises PoleError with term_index j.
     """
@@ -740,10 +758,12 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
     last = first + len(weights) - 1
     if weights and any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
         raise ValueError("a Pochhammer length is negative on the summation range")
+    extends = [b.is_zero() and l1 >= 0 for _, b, _, l1 in progs]  # see the loop
     if weights:
-        work = _factor_work([(l0, l1) for *_, l0, l1 in progs], first, last)
+        work = _factor_work([(l0, l1, x) for (*_, l0, l1), x in zip(progs, extends)],
+                            first, last)
         if work > ctx.max_terms ** 2:
-            raise InvalidParametersError(
+            raise WorkBudgetError(
                 f"its Pochhammer products take {work} units of factor work, more "
                 f"than max_terms^2 = {ctx.max_terms ** 2} (max_terms = {ctx.max_terms})")
     factors = [x for a, b, *_ in progs for x in (a, b)]
@@ -768,34 +788,40 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
             return math.prod((s + i for i in range(n)), start=one)
     else:
         raise UnsupportedExactError("a Pochhammer sum of sqrt(pi) multiples")
-    top = {q: max(0, e0[q] + first * e1[q], e0[q] + last * e1[q]) for q in e0 if q != 1}
-    runs = [(0, one)] * len(progs)  # length and product at the last term
-    acc = 0
+    # Term j is w R G / (H K): R the rebuilt products, G the extended
+    # numerators times up^(j-first+1), H the denominators times
+    # down^(j-first+1), K the q-powers of term first; acc / H is the sum.
+    up = math.prod(q ** -e for q, e in e1.items() if e < 0)
+    down = math.prod(q ** e for q, e in e1.items() if e > 0)
+    runs = [(0, one)] * len(progs)  # length at the last term; a denominator's product
+    grown, acc = one, 0
     with working_precision(prec):
         for j, w in enumerate(weights, first):
-            t, ext = w, one
+            t, ext, grown = w, down, grown * up
             for i, (a, b, q, l0, l1) in enumerate(progs):
                 s, n = a + j * b, l0 + j * l1
                 n0, p = runs[i]
-                if b == 0 and l1 >= 0:  # a fixed start: extend by the new factors
+                if extends[i]:  # a fixed start: extend by the new factors
                     f = rise(s + n0 * q, q, n - n0)
-                    p = p * f
-                else:
+                    if i < len(num):
+                        grown = grown * f
+                    else:
+                        p, ext = p * f, ext * f
+                else:  # a numerator, or a denominator of length 0
                     p = rise(s, q, n)
-                runs[i] = (n, p)
-                if i < len(num):
                     t = t * p
-                else:
-                    ext = ext * f
+                runs[i] = (n, p)
             if ext == 0:
                 raise PoleError(f"denominator Pochhammer vanishes at term {j}",
                                 term_index=j)
-            for q, e in top.items():
-                t *= q ** (e - e0[q] - j * e1[q])
-            acc = acc * ext + t
+            acc = acc * ext + t * grown
         total_den = math.prod((p for _, p in runs[len(num):]), start=one)
         if exact:
-            return Scalar(coef=Fraction(acc, total_den * math.prod(q ** e for q, e in top.items())))
+            k = {q: e0[q] + first * e1[q] for q in e0}
+            return Scalar(coef=Fraction(
+                acc * math.prod(q ** -e for q, e in k.items() if e < 0),
+                total_den * up * down ** max(last - first, 0)
+                * math.prod(q ** e for q, e in k.items() if e > 0)))
         return Scalar(val=acc / total_den, prec=prec)
 
 

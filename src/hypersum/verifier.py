@@ -27,6 +27,7 @@ from .numeric_core import (
     Scalar,
     SphereValue,
     UnsupportedExactError,
+    WorkBudgetError,
     checked_count,
     exact_first,
     gamma,
@@ -129,20 +130,21 @@ def verify_point(alpha, beta, m, z,
                  rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """Compare the series value S(alpha, beta, m, z) with the claimed closed
     form Gamma(beta+1-m)/Gamma(alpha+beta+1-m).  Evaluation failures (poles,
-    refusal to sum, budget exhaustion) yield PoleSkipped, never an exception."""
-    return _verify(RamanujanParams(alpha, beta, m, z), ctx or DEFAULT_CONTEXT,
-                   rel_tol, _SKIPPABLE)
-
-
-def _verify(p: RamanujanParams, ctx: EvalContext, rel_tol: float,
-            skippable: tuple) -> IdentityReport:
+    refusal to sum, budget exhaustion) yield PoleSkipped, never an exception,
+    except a sum refused for its size (WorkBudgetError: a count above
+    ctx.max_terms, or factor work above its square), which is raised: it
+    says nothing of the point, only of ctx."""
+    ctx = ctx or DEFAULT_CONTEXT
+    p = RamanujanParams(alpha, beta, m, z)
     context = {"alpha": str(p.alpha), "beta": str(p.beta),
                "m": str(p.m), "z": str(p.z)}
     lhs = rhs = None
     try:
         lhs = s_direct(p, ctx).value
         rhs = s_closed_form(p, ctx)
-    except skippable as exc:
+    except WorkBudgetError:
+        raise
+    except _SKIPPABLE as exc:
         context["error"] = f"{type(exc).__name__}: {exc}"
         return IdentityReport(lhs, rhs, math.nan, math.nan,
                               Verdict.POLE_SKIPPED, context)
@@ -153,13 +155,11 @@ def verify_theorem(k: int, beta, m, z,
                    ctx: Optional[EvalContext] = None,
                    rel_tol: float = DEFAULT_REL_TOL) -> IdentityReport:
     """The terminating summation: S(-k, beta, m, z) against (beta+1-m-k)_k.
-    A negative k, a k above ctx.max_terms and a sum whose factor work is
-    above ctx.max_terms ** 2 (see numeric_core.pochhammer_sum) are refused
-    with InvalidParametersError, not recorded."""
+    A negative k is refused with InvalidParametersError, and a sum too large
+    for ctx raises WorkBudgetError (see verify_point)."""
     ctx = ctx or DEFAULT_CONTEXT
     checked_count("k", k, ctx)
-    refusable = tuple(e for e in _SKIPPABLE if e is not InvalidParametersError)
-    return _verify(RamanujanParams(-k, beta, m, z), ctx, rel_tol, refusable)
+    return verify_point(-k, beta, m, z, ctx, rel_tol)
 
 
 def counterexample_eq9(alpha, beta,

@@ -284,7 +284,7 @@ class TestVerify:
     ])
     def test_factor_work_above_budget_exits_1_quickly(self, argv):
         # each count is within max_terms, but the Pochhammer products would
-        # take about n^2 r^3 / 3 and k^3 / 3 of factor work, far above
+        # take about (n r)^2 and k^3 / 3 of factor work, far above
         # max_terms^2;
         # both ran without end before the sum counted its work
         env = dict(os.environ,

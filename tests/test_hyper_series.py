@@ -26,6 +26,7 @@ from hypersum.numeric_core import (
     Scalar,
     SphereValue,
     exact_first,
+    pochhammer,
     pochhammer_sum,
 )
 
@@ -166,6 +167,15 @@ class TestTerminatingEval:
         with mp.workprec(212):
             exact = mp.mpf(ref.numerator) / ref.denominator
             assert abs(v.to_mpc(53) - exact) / abs(exact) <= mp.mpf(2) ** -51
+
+    def test_long_terminating_sum_within_the_default_budget(self):
+        # 2F1(-k, 1/3; 5/2; 1) = (13/6)_k / (5/2)_k (Chu-Vandermonde) at
+        # k = 10000: its four products are extended a factor a term, so the
+        # factor work is 4 k^2 + 4 k, within max_terms^2 = 10^10
+        k = 10000
+        r = pfq([-k, F(1, 3)], [F(5, 2)])
+        assert exact_value(r) == pochhammer(F(13, 6), k).fraction / pochhammer(F(5, 2), k).fraction
+        assert r.terms_used == k + 1
 
 
 def terminating_reference(k: int, p: int, *params: Scalar) -> Scalar:

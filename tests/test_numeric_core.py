@@ -461,24 +461,40 @@ class TestPochhammerSum:
 class TestFactorWork:
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40),
            st.lists(st.tuples(st.integers(min_value=0, max_value=50),
-                              st.integers(min_value=-2, max_value=6)), max_size=4))
+                              st.integers(min_value=-2, max_value=6), st.booleans()),
+                    max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_closed_form_matches_the_sum(self, first, span, lengths):
         last = first + span
-        lengths = [(max(l0, -l1 * first, -l1 * last), l1) for l0, l1 in lengths]
-        want = sum((l0 + j * l1) * (l0 + j * l1 - 1) // 2
-                   for l0, l1 in lengths for j in range(first, last + 1))
+        lengths = [(max(l0, -l1 * first, -l1 * last), l1, extended and l1 >= 0)
+                   for l0, l1, extended in lengths]
+        want = 0
+        for l0, l1, extended in lengths:
+            sizes = [l0 + j * l1 for j in range(first, last + 1)]
+            if extended:  # built once to its last length, then L a term
+                want += sizes[-1] * (sizes[-1] - 1) // 2 + sum(sizes)
+            else:
+                want += sum(size * (size - 1) // 2 for size in sizes)
         assert _factor_work(lengths, first, last) == want
 
     def test_refused_above_max_terms_squared(self):
-        # 21 terms of (1/3)_{50 j} over (2/3)_{50 j}: twice the sum of
-        # 50 j (50 j - 1) / 2 over j <= 20, 7,164,500, which is above
-        # 2676^2 = 7,160,976 and below 2677^2; refused before any weight is read
+        # 21 terms of (1/3)_{50 j} over (2/3)_{50 j}, both extended: twice
+        # 1000 * 999 / 2 + 50 * 210, 1,020,000, which is above 1009^2 =
+        # 1,018,081 and below 1010^2; refused before any weight is read
         num, den = [(Fraction(1, 3), 0, 0, 50)], [(Fraction(2, 3), 50)]
-        with pytest.raises(InvalidParametersError, match="7164500"):
-            pochhammer_sum(WeightsNeverRead(21), num, den, ctx=EvalContext(max_terms=2676))
-        assert pochhammer_sum([1] * 21, num, den, ctx=EvalContext(max_terms=2677)) \
+        with pytest.raises(InvalidParametersError, match="1020000"):
+            pochhammer_sum(WeightsNeverRead(21), num, den, ctx=EvalContext(max_terms=1009))
+        assert pochhammer_sum([1] * 21, num, den, ctx=EvalContext(max_terms=1010)) \
             == pochhammer_sum([1] * 21, num, den)
+
+    def test_rebuilt_products_pay_at_every_term(self):
+        # (1/3 + j/5)_{50 j} is rebuilt at each term: 50 j (50 j - 1) / 2
+        # summed over j <= 20, 3,582,250, above 1892^2 = 3,579,664
+        num = [(Fraction(1, 3), Fraction(1, 5), 0, 50)]
+        with pytest.raises(InvalidParametersError, match="3582250"):
+            pochhammer_sum(WeightsNeverRead(21), num, ctx=EvalContext(max_terms=1892))
+        assert pochhammer_sum([1] * 21, num, ctx=EvalContext(max_terms=1893)) \
+            == pochhammer_sum([1] * 21, num)
 
 
 class WeightsNeverRead:

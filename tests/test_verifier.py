@@ -14,6 +14,7 @@ from hypersum.numeric_core import (
     PoleError,
     Scalar,
     SphereValue,
+    WorkBudgetError,
     scalar,
 )
 from hypersum import ramanujan_sum, verifier
@@ -110,6 +111,20 @@ class TestVerifyTheorem:
     def test_rejects_negative_k(self):
         with pytest.raises(InvalidParametersError):
             verify_theorem(-1, F(1, 2), F(1, 3), 0)
+
+    def test_sum_too_large_for_ctx_is_raised_not_recorded(self):
+        # k = 100 is within max_terms = 200, but the direct sum's rebuilt
+        # products take about k^3 / 3 factor work, above 200^2
+        small = EvalContext(max_terms=200)
+        with pytest.raises(WorkBudgetError, match="factor work"):
+            verify_theorem(100, F(-13, 9), F(7, 8), F(5, 2), small)
+        # an integer z above max_terms is refused the same way
+        with pytest.raises(WorkBudgetError, match="z = 300"):
+            verify_point(F(1, 3), F(1, 2), F(1, 5), 300, small)
+        # a sweep records the refusal among its per-point failures
+        rep, = sweep([{"k": 100, "beta": F(-13, 9), "m": F(7, 8), "z": F(5, 2)}], small)
+        assert rep.verdict is Verdict.POLE_SKIPPED
+        assert rep.context["error"].startswith("WorkBudgetError")
 
     def test_k100_exact_match(self):
         rep = verify_theorem(100, F(-13, 9), F(7, 8), F(5, 2))

@@ -9,8 +9,9 @@ Run from the root of a checkout.  Each pair runs
 
 with T the ``run_seconds`` of BENCHMARK.json, once in this checkout and
 once in a ``git archive`` copy of the parent commit, unpacked in a temporary
-directory that is removed at the end.  The side that runs first alternates pair by pair; pair i of a workload uses the
-seed ``--seed-base + i``, the same on both sides.  The JSON written to
+directory that is removed at the end.  The side that runs first alternates
+pair by pair; pair i of a workload uses the seed ``--seed-base + i``, the
+same on both sides.  The JSON written to
 ``--out`` holds, per workload, every run's summary line and, per end-to-end
 metric of BENCHMARK.json, both sides' values, medians, quartiles and IQRs,
 the per-pair ratios (change / parent) and the number of pairs in which the
