@@ -743,13 +743,13 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
 
     Rational factors are summed in integers: (A/q + j B/q)_L is
     prod_{i<L} (A + jB + iq) / q^L.  A progression with a fixed start, as
-    every denominator has, is extended by its new factors, and so are the
-    q-powers, which change by q^(e1[q]) a term: the numerator's go into one
-    running product, the denominator's into the running sum, which is
-    multiplied by the new factors only.  So every product that runs the
-    whole sum grows by small factors, and the total is made a Fraction
-    once.  A float factor (exact_first passes them for complex input) runs
-    the same products in mpmath at its precision.
+    every denominator has, is extended by its new factors, and so is each
+    q's power, whose exponent is linear in j.  The numerator's new factors
+    go into one running product, the denominator's multiply the running
+    sum; so no term multiplies two long products, and the total is made a
+    Fraction once.  A progression whose start moves with j is rebuilt at
+    every term.  A float factor (exact_first passes them for complex input)
+    runs the same products in mpmath at its precision.
     A sqrt(pi) multiple raises UnsupportedExactError.  A denominator that
     vanishes first at term j raises PoleError with term_index j.
     """
