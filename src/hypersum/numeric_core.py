@@ -788,12 +788,13 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
             return math.prod((s + i for i in range(n)), start=one)
     else:
         raise UnsupportedExactError("a Pochhammer sum of sqrt(pi) multiples")
-    # Term j is w R G / (H K): R the rebuilt products, G the extended
-    # numerators times up^(j-first+1), H the denominators times
-    # down^(j-first+1), K the q-powers of term first; acc / H is the sum.
+    # With R the rebuilt products, G the extended numerators times
+    # up^(j-first+1), H the denominators D times down^(j-first+1), K the
+    # q-powers of term first, term j is (w R G / H) down / (up K); acc / H
+    # sums w R G / H, so the sum is acc / (D up K down^(last-first)).
     up = math.prod(q ** -e for q, e in e1.items() if e < 0)
     down = math.prod(q ** e for q, e in e1.items() if e > 0)
-    runs = [(0, one)] * len(progs)  # length at the last term; a denominator's product
+    runs = [(0, one)] * len(progs)  # length at the last term; D's products
     grown, acc = one, 0
     with working_precision(prec):
         for j, w in enumerate(weights, first):
