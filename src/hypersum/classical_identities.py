@@ -71,7 +71,7 @@ def pochhammer_multiplication_split(base, n: int, j: int) -> Scalar:
     if j < 0:
         raise InvalidParametersError("j must be a nonnegative integer")
     base = scalar(base)
-    return pochhammer_sum([n ** (n * j)], [((base + i) / n, 0, j, 0) for i in range(n)])
+    return n ** (n * j) * pochhammer_sum([((base + i) / n, 0, j, 0) for i in range(n)], (), 0, 0)
 
 
 def askey_ismail_validity(a, d) -> bool:
@@ -101,8 +101,8 @@ def askey_ismail_rhs(a, c, d, k: int, ctx: EvalContext = DEFAULT_CONTEXT) -> Eva
     a, c, d = scalar(a), scalar(c), scalar(d)
 
     def prefactor(a, c, d):  # one term, j = 1: a vanishing denominator raises PoleError
-        return SphereValue.of(pochhammer_sum([1], [(d - a, 0, k, 0), (d - c, 0, k, 0)],
-                                             [(d - a - c, k), (d, k)], first=1, ctx=ctx))
+        return SphereValue.of(pochhammer_sum([(d - a, 0, k, 0), (d - c, 0, k, 0)],
+                                             [(d - a - c, k), (d, k)], 1, 1, ctx=ctx))
 
     pref = exact_first(prefactor, (a, c, d), ctx)
     inner = eval_at_1(HypParams((Scalar.exact(-k), a, c), (d + k, d - c)), ctx)

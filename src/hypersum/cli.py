@@ -487,6 +487,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnsupportedExactError as exc:
         print(f"hypersum: error: {exc} (try --mode=float)", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("hypersum: error: out of memory (try a lower --precision)", file=sys.stderr)
+        return 1
     record = {"command": args.command_echo, "params": params, **record,
               "timing_s": round(time.perf_counter() - t0, 6)}
     try:

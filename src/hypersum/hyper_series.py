@@ -200,8 +200,8 @@ def _terms(nums, dens, first: int, last: int,
            ctx: EvalContext = DEFAULT_CONTEXT) -> Scalar:
     """Terms first..last of the series, term j being prod (a)_j / (prod (b)_j j!),
     summed by pochhammer_sum (which refuses too much factor work for ctx)."""
-    return pochhammer_sum([1] * (last + 1 - first), [(a, 0, 0, 1) for a in nums],
-                          [(b, 1) for b in dens] + [(1, 1)], first, ctx)
+    return pochhammer_sum([(a, 0, 0, 1) for a in nums], [(b, 1) for b in dens] + [(1, 1)],
+                          first, last, ctx=ctx)
 
 
 def _finite_sum_result(value: SphereValue, cls: SeriesClassification) -> EvalResult:

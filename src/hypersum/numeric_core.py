@@ -732,14 +732,15 @@ def _factor_work(lengths: Sequence[tuple], first: int, last: int) -> int:
     return work
 
 
-def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
-                   den: Sequence[tuple] = (), first: int = 0,
+def pochhammer_sum(num: Sequence[tuple], den: Sequence[tuple], first: int, last: int,
+                   weight: Optional[Callable[[int], int]] = None,
                    ctx: EvalContext = DEFAULT_CONTEXT) -> Scalar:
-    """sum_j w_j prod (a + j b)_{l0 + j l1} / prod (c)_{l j} over j = first,
-    first + 1, ..., one term per integer weight, with the progressions
+    """sum_j w(j) prod (a + j b)_{l0 + j l1} / prod (c)_{l j} over
+    j = first, ..., last (0 when last < first), with the progressions
     (a, b, l0, l1) in ``num`` and (c, l) in ``den``; no length may be negative.
-    A sum whose factor work (_factor_work) is above ctx.max_terms ** 2
-    raises WorkBudgetError before any weight is read.
+    ``weight`` gives term j's integer weight w(j), 1 for every term when it
+    is None.  A sum whose factor work (_factor_work) is above
+    ctx.max_terms ** 2 raises WorkBudgetError before ``weight`` is called.
 
     Rational factors are summed in integers: (A/q + j B/q)_L is
     prod_{i<L} (A + jB + iq) / q^L.  A progression with a fixed start, as
@@ -755,11 +756,10 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
     """
     progs = [(scalar(a), scalar(b), l0, l1) for a, b, l0, l1 in num] \
         + [(scalar(c), Scalar.exact(0), 0, l) for c, l in den]
-    last = first + len(weights) - 1
-    if weights and any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
-        raise ValueError("a Pochhammer length is negative on the summation range")
     extends = [b.is_zero() and l1 >= 0 for _, b, _, l1 in progs]  # see the loop
-    if weights:
+    if first <= last:
+        if any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
+            raise ValueError("a Pochhammer length is negative on the summation range")
         work = _factor_work([(l0, l1, x) for (*_, l0, l1), x in zip(progs, extends)],
                             first, last)
         if work > ctx.max_terms ** 2:
@@ -797,8 +797,8 @@ def pochhammer_sum(weights: Sequence[int], num: Sequence[tuple],
     runs = [(0, one)] * len(progs)  # length at the last term; D's products
     grown, acc = one, 0
     with working_precision(prec):
-        for j, w in enumerate(weights, first):
-            t, ext, grown = w, down, grown * up
+        for j in range(first, last + 1):
+            t, ext, grown = weight(j) if weight else 1, down, grown * up
             for i, (a, b, q, l0, l1) in enumerate(progs):
                 s, n = a + j * b, l0 + j * l1
                 n0, p = runs[i]

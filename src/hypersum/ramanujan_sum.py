@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -160,22 +159,9 @@ def s_closed_form(p: RamanujanParams, ctx: Optional[EvalContext] = None) -> Sphe
                        (p.alpha, p.beta, p.m), ctx or DEFAULT_CONTEXT)
 
 
-class _SignedBinomials(Sequence):
-    """(-1)^j C(n, j) = (-n)_j / j! for j = first, ..., n, each made when it
-    is read, so that pochhammer_sum can refuse a sum from its length before
-    any of these n-bit integers exists."""
-
-    def __init__(self, n: int, first: int = 0):
-        self.n, self.first = n, first
-
-    def __len__(self):
-        return self.n + 1 - self.first
-
-    def __getitem__(self, i):
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        j = self.first + i
-        return (-1) ** j * math.comb(self.n, j)
+def _signed_binomial(n: int):
+    """The weight j -> (-1)^j C(n, j) = (-n)_j / j! of an alternating sum."""
+    return lambda j: (-1) ** j * math.comb(n, j)
 
 
 def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
@@ -185,9 +171,8 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
         # leaving (beta+1-k)_k; this keeps m = 0 well-defined.  Term j >= 1
         # is m (beta+1-k+j(z+1))_{k-j} (m+1+jz)_{j-1} (-k)_j / j!.
-        rest = pochhammer_sum(_SignedBinomials(k, 1),
-                              [(beta + 1 - k, z + 1, k, -1), (m + 1, z, -1, 1)],
-                              first=1, ctx=ctx)
+        rest = pochhammer_sum([(beta + 1 - k, z + 1, k, -1), (m + 1, z, -1, 1)], (),
+                              1, k, _signed_binomial(k), ctx)
         return SphereValue.of(pochhammer(beta + 1 - k, k) + m * rest)
 
     value = exact_first(direct_sum, (p.beta, p.m, p.z), ctx)
@@ -234,7 +219,11 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     fast from N on; for real z every gamma argument past N has a positive
     real part, so no pole lies in the tail.  Re z <= 0 is refused: the
     expansion does not hold there, and the direct terms run first so that a
-    pole or the divergence guard names where the series breaks down.
+    pole or the divergence guard (16 growing terms past j = 32) names where
+    the series breaks down.  The guard watches only Re z <= 0: for Re z > 0
+    every term decays like j^-2 in the end, since the three exponents sum to
+    -2, and growing terms only mean that large parameters have not reached
+    that regime (at S(1/2, 1, 60, 7/2) they grow past j = 32).
 
     tail_bound is the larger of |m C| times the last two tail terms and
     2^-P |S|, the rounding to P bits, which the stop rule makes the larger
@@ -292,6 +281,7 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         acc = 0             # the direct sum over 2^exp2, exp2 the first term's size
         exp2 = None
         poch_a, fact, at = unit, mp.mpf(1), 0   # (alpha)_at and at!, advanced on demand
+        watch = fz.real <= 0   # the divergence guard's scope, see above
         grow_streak = 0
         prev_mag = None
         for j in range(n_direct):
@@ -318,6 +308,8 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
             if t is None:
                 continue
             acc += t
+            if not watch:
+                continue
             mag = abs(t)
             if prev_mag is not None and prev_mag > 0:
                 grow_streak = grow_streak + 1 if mag >= prev_mag else 0
@@ -327,7 +319,7 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                         "treating as divergent",
                         SeriesClassification(SeriesKind.DIVERGENT))
             prev_mag = mag
-        if fz.real <= 0:
+        if watch:
             raise DivergentSeriesError(
                 "the direct series has no asymptotic tail for Re z <= 0; "
                 "treating as divergent",
@@ -547,9 +539,8 @@ def s_integer_form(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> Ev
         def stride_sum(alpha, beta, m):
             # term j: (beta+1)_{nj} (m)_{(n+1)j} (alpha)_j
             #         / ((alpha+beta+1)_{(n+1)j} (m+1)_{nj} j!)
-            acc = pochhammer_sum([1] * (k + 1),
-                                 [(beta + 1, 0, 0, n), (m, 0, 0, n + 1), (alpha, 0, 0, 1)],
-                                 [(alpha + beta + 1, n + 1), (m + 1, n), (1, 1)], ctx=ctx)
+            acc = pochhammer_sum([(beta + 1, 0, 0, n), (m, 0, 0, n + 1), (alpha, 0, 0, 1)],
+                                 [(alpha + beta + 1, n + 1), (m + 1, n), (1, 1)], 0, k, ctx=ctx)
             return _prefactor(alpha, beta) * SphereValue.of(acc)
 
         value = exact_first(stride_sum, (p.alpha, p.beta, p.m), ctx)
@@ -635,8 +626,8 @@ def inner_sum_E(m, n: int, r: int, ctx: Optional[EvalContext] = None) -> Scalar:
     checked_count("r", r, ctx)
 
     def alternating_sum(m):
-        return SphereValue.of(pochhammer_sum(_SignedBinomials(r), [(m + r, 0, 0, n)],
-                                             [(m + 1, n)], ctx=ctx))
+        return SphereValue.of(pochhammer_sum([(m + r, 0, 0, n)], [(m + 1, n)], 0, r,
+                                             _signed_binomial(r), ctx))
 
     return exact_first(alternating_sum, (m,), ctx).finite
 
@@ -654,8 +645,8 @@ def finite_difference_check(m, n: int, r: int,
     checked_count("r", r, ctx, positive=True)
 
     def alternating_sum(m):
-        return SphereValue.of(pochhammer_sum(_SignedBinomials(r), [(m + 1, n, r - 1, 0)],
-                                             ctx=ctx))
+        return SphereValue.of(pochhammer_sum([(m + 1, n, r - 1, 0)], (), 0, r,
+                                             _signed_binomial(r), ctx))
 
     return exact_first(alternating_sum, (m,), ctx).finite
 

@@ -489,6 +489,23 @@ class TestUsage:
         code = main(["eval", "pfq", "--num=1/3,1/4", "--den=25/12"])
         assert "HYPERSUM_PRECISION" in assert_one_line_error(capsys, code)
 
+    @pytest.mark.parametrize("target, argv", [
+        ("eval_at_1", ["eval", "pfq", "--num=1/2", "--den=1/3,1/4"]),
+        ("s_direct", ["eval", "ramanujan", "--alpha=1/2", "--beta=1", "--m=1/2",
+                      "--z=1/2"]),
+        ("counterexample_eq9", ["verify", "counterexample", "--alpha=1/2",
+                                "--beta=1/3"]),
+    ])
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch, target, argv):
+        # an absurd --precision runs mpmath out of memory; the library call
+        # raises here instead of allocating for real
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"hypersum.cli.{target}", exhausted)
+        code = main(argv + ["--precision=10000000000000"])
+        assert "out of memory" in assert_one_line_error(capsys, code)
+
 
 def _readme_examples():
     """Every ``hypersum ...`` line of README.md's sh blocks, and the README's

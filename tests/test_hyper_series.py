@@ -481,8 +481,8 @@ def _exact_partial_sum(nums, dens, prec):
             s += t
             n += 1
     while True:
-        total = pochhammer_sum([1] * (n + 1), num, den).fraction
-        t_n = pochhammer_sum([1], num, den, n).fraction
+        total = pochhammer_sum(num, den, 0, n).fraction
+        t_n = pochhammer_sum(num, den, n, n).fraction
         r = abs(math.prod(a + n for a in nums)
                 / ((n + 1) * math.prod(b + n for b in dens)))
         if r < 1 and abs(t_n) * r / (1 - r) < abs(total) / 2 ** (prec + 8):
@@ -583,3 +583,49 @@ class TestSqrtPiParameters:
             ref = mp.hyper(args[:len(nums)], args[len(nums):], 1)
             err = abs(r.value.finite.to_mpc(300) - ref) / abs(ref)
         assert err <= mp.mpf(2) ** -bits, float(mpmath.log(err, 2))
+
+
+def _gaussian_2f1(k, a, c):
+    """2F1(-k, a; c; 1) summed exactly for complex binary floats a and c, as
+    the Gaussian rationals they are: (re, im) pairs of Fractions."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def div(x, y):
+        n = y[0] ** 2 + y[1] ** 2
+        return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+    a, c = (F(a.real), F(a.imag)), (F(c.real), F(c.imag))
+    t = total = (F(1), F(0))
+    for j in range(k):  # t_(j+1) / t_j = (j-k)(a+j) / ((c+j)(j+1))
+        t = div(mul(t, ((j - k) * (a[0] + j), (j - k) * a[1])),
+                ((j + 1) * (c[0] + j), (j + 1) * c[1]))
+        total = total[0] + t[0], total[1] + t[1]
+    return total
+
+
+class TestKnownWrongAnswers:
+    """Wrong answers that ROADMAP names, pinned as strict xfails: the change
+    that fixes one must flip its test."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the balanced route stops near 119 bits at P >= 128")
+    def test_balanced_2f1_reaches_p_bits(self):
+        prec = 256
+        r = pfq([F(1, 3), F(1, 4)], [F(25, 12)], EvalContext(precision=prec))
+        with mp.workprec(2 * prec + 60):
+            ref = _gauss(_mp(F(1, 3)), _mp(F(1, 4)), _mp(F(25, 12)))
+            err = abs(r.value.finite.to_mpc(prec) - ref) / abs(ref)
+            assert err <= mp.mpf(2) ** -(prec - 8), float(mpmath.log(err, 2))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: complex terminating input loses every "
+                              "bit at P = 53")
+    def test_complex_terminating_sum_reaches_p_bits(self):
+        a, c = 0.3 + 0.2j, 2.7 - 0.1j
+        r = pfq([-100, a], [c], EvalContext(precision=53))
+        re, im = _gaussian_2f1(100, a, c)
+        with mp.workprec(200):
+            ref = mp.mpc(_mp(re), _mp(im))
+            err = abs(r.value.finite.to_mpc(53) - ref) / abs(ref)
+            assert err <= mp.mpf(2) ** -45, float(mpmath.log(err, 2))

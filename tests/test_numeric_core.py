@@ -416,39 +416,41 @@ class TestPochhammerSum:
         expect, pole_at = pochhammer_sum_oracle(weights, num, den, first)
         if expect is None:
             with pytest.raises(PoleError) as exc:
-                pochhammer_sum(weights, num, den, first)
+                pochhammer_sum(num, den, first, last, weight=lambda j: weights[j - first])
             assert exc.value.term_index == pole_at
             return
-        got = pochhammer_sum(weights, num, den, first)
+        got = pochhammer_sum(num, den, first, last, weight=lambda j: weights[j - first])
         assert got.is_rational and got.fraction == expect
 
     def test_pole_names_the_first_vanishing_term(self):
         # (-3/1)_{2j}: the factor 0 enters at j = 2
         with pytest.raises(PoleError) as exc:
-            pochhammer_sum([1] * 5, [], [(-3, 2)])
+            pochhammer_sum([], [(-3, 2)], 0, 4)
         assert exc.value.term_index == 2
         # a vanishing numerator is no pole
-        assert pochhammer_sum([1, 1], [(-1, 0, 0, 2)], [(1, 1)]).fraction == 1
+        assert pochhammer_sum([(-1, 0, 0, 2)], [(1, 1)], 0, 1).fraction == 1
 
     def test_empty_range_is_zero(self):
-        assert pochhammer_sum([], [(Fraction(1, 3), 1, -1, 1)], [(2, 1)], 1) == Scalar.exact(0)
+        assert pochhammer_sum([(Fraction(1, 3), 1, -1, 1)], [(2, 1)], first=1, last=0) \
+            == Scalar.exact(0)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            pochhammer_sum([1, 1, 1], [(1, 0, 1, -1)])
+            pochhammer_sum([(1, 0, 1, -1)], [], 0, 2)
         with pytest.raises(ValueError):
-            pochhammer_sum([1, 1], [], [(1, -1)])
+            pochhammer_sum([], [(1, -1)], 0, 1)
 
     def test_sqrtpi_multiple_unsupported(self):
         with pytest.raises(UnsupportedExactError):
-            pochhammer_sum([1, 1], [(Scalar.exact_sqrtpi(1), 0, 0, 1)])
+            pochhammer_sum([(Scalar.exact_sqrtpi(1), 0, 0, 1)], [], 0, 1)
 
     @pytest.mark.parametrize("prec", [53, 256])
     def test_float_factor_runs_in_float(self, prec):
         # the same products in mpmath at the float's precision; the exact
         # factors 1/3 and 1 are converted to it
         z = Scalar.from_float(complex(0.75, -0.5), prec)
-        got = pochhammer_sum([1, -3, 3, -1], [(z, Fraction(1, 3), 1, 1)], [(z + 2, 1), (1, 1)])
+        got = pochhammer_sum([(z, Fraction(1, 3), 1, 1)], [(z + 2, 1), (1, 1)], 0, 3,
+                             weight=lambda j: [1, -3, 3, -1][j])
         assert got.is_float and got.prec == prec
         with mp.workprec(prec + 20):
             zz = z.to_mpc(prec)
@@ -483,31 +485,23 @@ class TestFactorWork:
         # 1,018,081 and below 1010^2; refused before any weight is read
         num, den = [(Fraction(1, 3), 0, 0, 50)], [(Fraction(2, 3), 50)]
         with pytest.raises(InvalidParametersError, match="1020000"):
-            pochhammer_sum(WeightsNeverRead(21), num, den, ctx=EvalContext(max_terms=1009))
-        assert pochhammer_sum([1] * 21, num, den, ctx=EvalContext(max_terms=1010)) \
-            == pochhammer_sum([1] * 21, num, den)
+            pochhammer_sum(num, den, 0, 20, weight_never_called, EvalContext(max_terms=1009))
+        assert pochhammer_sum(num, den, 0, 20, ctx=EvalContext(max_terms=1010)) \
+            == pochhammer_sum(num, den, 0, 20)
 
     def test_rebuilt_products_pay_at_every_term(self):
         # (1/3 + j/5)_{50 j} is rebuilt at each term: 50 j (50 j - 1) / 2
         # summed over j <= 20, 3,582,250, above 1892^2 = 3,579,664
         num = [(Fraction(1, 3), Fraction(1, 5), 0, 50)]
         with pytest.raises(InvalidParametersError, match="3582250"):
-            pochhammer_sum(WeightsNeverRead(21), num, ctx=EvalContext(max_terms=1892))
-        assert pochhammer_sum([1] * 21, num, ctx=EvalContext(max_terms=1893)) \
-            == pochhammer_sum([1] * 21, num)
+            pochhammer_sum(num, [], 0, 20, weight_never_called, EvalContext(max_terms=1892))
+        assert pochhammer_sum(num, [], 0, 20, ctx=EvalContext(max_terms=1893)) \
+            == pochhammer_sum(num, [], 0, 20)
 
 
-class WeightsNeverRead:
-    """A weight sequence of the given length whose entries must not be read."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __iter__(self):
-        raise AssertionError("weights read before the work was checked")
+def weight_never_called(j):
+    """A weight function that must not be called."""
+    raise AssertionError("weight read before the work was checked")
 
 
 class TestGammaRatio:

@@ -890,6 +890,33 @@ class TestExperimental:
             s_direct(RamanujanParams(0.5, 1.0, 0.5, z), EvalContext(precision=53))
         assert getattr(exc.value, "term_index", None) == index
 
+    def test_growing_terms_at_positive_z_converge(self):
+        # at m = 60 the terms still grow past j = 32; for Re z > 0 they
+        # decay like j^-2 in the end, so the growth is no divergence
+        params = (F(1, 2), F(1), F(60), F(7, 2))
+        res = s_direct(RamanujanParams(*params), EvalContext(precision=53))
+        ref = nsum_reference(params, prec=160)
+        with mpmath.workprec(160):
+            err = abs(res.value.finite.to_mpc(53) - ref)
+            assert err <= res.tail_bound
+            assert err <= mpmath.ldexp(abs(ref), -50)
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="ROADMAP item 4: N direct terms too few once the "
+                              "parameters reach about 10")
+    def test_beta_plane_with_large_parameters(self):
+        # S(1/2, 17/2, 10, 1/2), on the plane m = alpha+beta+1, against the
+        # Beta integral of beta_plane_point at P + 90 bits
+        alpha, beta, z, prec = F(1, 2), F(17, 2), F(1, 2), 53
+        res = s_direct(RamanujanParams(alpha, beta, alpha + beta + 1, z),
+                       EvalContext(precision=prec))
+        with mpmath.workprec(prec + 90):
+            a, b, zz = (mpmath.mpf(x.numerator) / x.denominator for x in (alpha, beta, z))
+            integral = mpmath.quad(lambda t: t ** b * ((1 - t) / (1 - t ** zz)) ** a,
+                                   [0, 0.5, 1])
+            ref = (a + b + 1) / mpmath.gamma(a + 1) * integral
+            assert abs(res.value.finite.to_mpc(prec) - ref) <= res.tail_bound
+
     def test_numerator_pole_contaminates(self):
         # beta+1+jz = -2.5+0.5j first lands on a nonpositive integer (-2)
         # at j = 1
