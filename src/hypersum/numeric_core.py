@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -163,25 +163,22 @@ class Scalar:
     rationals and only becomes nonzero through exact gamma evaluation at
     half-integers; sums that would mix different powers raise
     UnsupportedExactError instead of silently going inexact.
+
+    Every operator tests the modes once (_exact_operand): when both operands
+    are exact (an exact Scalar, an int, a Fraction or a "p/q" string) it works
+    on the Fractions, and otherwise on mpc values at the float operand's
+    precision, inside one working_precision block.
     """
 
-    __slots__ = ("mode", "_coef", "_sqrtpi", "_val", "prec")
+    __slots__ = ("_coef", "_sqrtpi", "_val", "prec")
 
     def __init__(self, *, coef=None, sqrtpi=0, val=None, prec=None):
         if coef is not None:
-            self.mode = Mode.EXACT
-            self._coef = coef
-            self._sqrtpi = sqrtpi if coef != 0 else 0
-            self._val = None
-            self.prec = None
+            self._coef, self._sqrtpi, self._val, self.prec = coef, sqrtpi if coef else 0, None, None
         else:
             if prec is None or prec < MIN_PRECISION:
                 raise ValueError(f"float precision must be >= {MIN_PRECISION} bits")
-            self.mode = Mode.FLOAT
-            self._coef = None
-            self._sqrtpi = 0
-            self._val = val
-            self.prec = prec
+            self._coef, self._sqrtpi, self._val, self.prec = None, 0, val, prec
 
     # -- construction -----------------------------------------------------
 
@@ -197,27 +194,34 @@ class Scalar:
 
     @classmethod
     def from_float(cls, value, prec: int = MIN_PRECISION) -> "Scalar":
+        """``value`` rounded to a ``prec``-bit float; an infinity or a NaN
+        raises InvalidParametersError."""
         with working_precision(prec):
             if isinstance(value, Fraction):
-                v = mp.mpf(value.numerator) / mp.mpf(value.denominator)
-                v = mp.mpc(v)
+                v = mp.mpc(mp.mpf(value.numerator) / mp.mpf(value.denominator))
             else:
                 v = mp.mpc(value)
+        if not mp.isfinite(v):
+            raise InvalidParametersError(f"{value} is not a finite number")
         return cls(val=v, prec=prec)
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def mode(self) -> Mode:
+        return Mode.EXACT if self._coef is not None else Mode.FLOAT
+
+    @property
     def is_exact(self) -> bool:
-        return self.mode is Mode.EXACT
+        return self._coef is not None
 
     @property
     def is_float(self) -> bool:
-        return self.mode is Mode.FLOAT
+        return self._coef is None
 
     @property
     def is_rational(self) -> bool:
-        return self.mode is Mode.EXACT and self._sqrtpi == 0
+        return self._coef is not None and self._sqrtpi == 0
 
     @property
     def sqrtpi_power(self) -> int:
@@ -286,113 +290,99 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        """Normalize ``other`` to a Scalar, matching this value's float precision."""
+    def _exact_operand(self, other):
+        """(coefficient, sqrt(pi) power) of ``other`` when it and this value
+        are both exact, else None: the one mode test of every operator."""
+        if self._coef is None:
+            return None
         if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(coef=Fraction(other))
-        try:
-            return scalar(other, self.prec)
-        except TypeError:
-            return NotImplemented
+            return None if other._coef is None else (other._coef, other._sqrtpi)
+        if isinstance(other, str):
+            other = Fraction(other)
+        return (other, 0) if isinstance(other, (int, Fraction)) else None
 
-    def _pair(self, other):
-        """Resolve operand modes: (EXACT, a, b) on Fractions+powers or (FLOAT, a, b, prec)."""
-        if self.is_exact and other.is_exact:
-            return ("exact", self, other)
-        if self.is_float and other.is_float:
-            if self.prec != other.prec:
-                raise PrecisionMixError(
-                    f"cannot mix {self.prec}-bit and {other.prec}-bit floats"
-                )
-            return ("float", self._val, other._val, self.prec)
-        if self.is_float:
-            return ("float", self._val, other.to_mpc(self.prec), self.prec)
-        return ("float", self.to_mpc(other.prec), other._val, other.prec)
+    def _float_op(self, other, op, reflected: bool = False):
+        """op(self, other) (op(other, self) if reflected) on mpc values at the float
+        operand's precision; NotImplemented for a type scalar() refuses."""
+        if not isinstance(other, Scalar):
+            try:
+                other = scalar(other, self.prec)
+            except TypeError:
+                return NotImplemented
+        prec = self.prec or other.prec
+        if other.prec is not None and other.prec != prec:
+            raise PrecisionMixError(f"cannot mix {self.prec}-bit and {other.prec}-bit floats")
+        a = self._val if self._val is not None else self.to_mpc(prec)
+        b = other._val if other._val is not None else other.to_mpc(prec)
+        if reflected:
+            a, b = b, a
+        if op is operator.truediv and b == 0:
+            raise ZeroDivisionError("float division by zero")
+        if op is operator.eq:
+            return a == b
+        if op is operator.lt:
+            if a.imag != 0 or b.imag != 0:
+                raise TypeError("ordering is only defined for real values")
+            return a.real < b.real
+        with working_precision(prec):
+            return Scalar(val=op(a, b), prec=prec)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        kind, *rest = self._pair(other)
-        if kind == "exact":
-            a, b = rest
-            if a._coef == 0:
-                return b
-            if b._coef == 0:
-                return a
-            if a._sqrtpi != b._sqrtpi:
-                raise UnsupportedExactError(
-                    "cannot add exact values with different sqrt(pi) powers"
-                )
-            return Scalar(coef=a._coef + b._coef, sqrtpi=a._sqrtpi)
-        a, b, prec = rest
-        with working_precision(prec):
-            return Scalar(val=a + b, prec=prec)
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.add)
+        return _exact_sum(self._coef, self._sqrtpi, *b, operator.add)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        if self.is_exact:
+        if self._coef is not None:
             return Scalar(coef=-self._coef, sqrtpi=self._sqrtpi)
         with working_precision(self.prec):
             return Scalar(val=-self._val, prec=self.prec)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.sub)
+        return _exact_sum(self._coef, self._sqrtpi, *b, operator.sub)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__add__(-self)
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.sub, reflected=True)
+        return _exact_sum(*b, self._coef, self._sqrtpi, operator.sub)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        kind, *rest = self._pair(other)
-        if kind == "exact":
-            a, b = rest
-            return Scalar(coef=a._coef * b._coef, sqrtpi=a._sqrtpi + b._sqrtpi)
-        a, b, prec = rest
-        with working_precision(prec):
-            return Scalar(val=a * b, prec=prec)
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.mul)
+        return Scalar(coef=self._coef * b[0], sqrtpi=self._sqrtpi + b[1])
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        kind, *rest = self._pair(other)
-        if kind == "exact":
-            a, b = rest
-            if b._coef == 0:
-                raise ZeroDivisionError("exact division by zero")
-            return Scalar(coef=a._coef / b._coef, sqrtpi=a._sqrtpi - b._sqrtpi)
-        a, b, prec = rest
-        if b == 0:
-            raise ZeroDivisionError("float division by zero")
-        with working_precision(prec):
-            return Scalar(val=a / b, prec=prec)
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.truediv)
+        if not b[0]:
+            raise ZeroDivisionError("exact division by zero")
+        return Scalar(coef=self._coef / b[0], sqrtpi=self._sqrtpi - b[1])
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.truediv, reflected=True)
+        if not self._coef:
+            raise ZeroDivisionError("exact division by zero")
+        return Scalar(coef=b[0] / self._coef, sqrtpi=b[1] - self._sqrtpi)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if self.is_exact:
+        if self._coef is not None:
             if n >= 0 or self._coef != 0:
                 return Scalar(coef=self._coef**n, sqrtpi=self._sqrtpi * n)
             raise ZeroDivisionError("0 to a negative power")
@@ -400,37 +390,28 @@ class Scalar:
             return Scalar(val=self._val**n, prec=self.prec)
 
     def __abs__(self):
-        if self.is_exact:
+        if self._coef is not None:
             return Scalar(coef=abs(self._coef), sqrtpi=self._sqrtpi)
         with working_precision(self.prec):
             return Scalar(val=mp.mpc(abs(self._val)), prec=self.prec)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_exact and other.is_exact:
-            return self._coef == other._coef and self._sqrtpi == other._sqrtpi
-        kind, a, b, prec = self._pair(other)
-        return a == b
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.eq)
+        return self._coef == b[0] and self._sqrtpi == b[1]
 
     __hash__ = None
 
     def __lt__(self, other):
-        # operands meet as in __eq__ (through _pair), so that the operators
-        # total_ordering derives from the two agree with each other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_rational and other.is_rational:
-            return self._coef < other._coef
-        if self.is_exact and other.is_exact:
-            a, b = self.to_mpc(113), other.to_mpc(113)
-        else:
-            _, a, b, _ = self._pair(other)
-        if a.imag != 0 or b.imag != 0:
-            raise TypeError("ordering is only defined for real values")
-        return a.real < b.real
+        # operands meet as in __eq__, so that the operators total_ordering
+        # derives from the two agree with each other
+        b = self._exact_operand(other)
+        if b is None:
+            return self._float_op(other, operator.lt)
+        if not self._sqrtpi and not b[1]:
+            return self._coef < b[0]
+        return self.to_mpc(113).real < Scalar(coef=Fraction(b[0]), sqrtpi=b[1]).to_mpc(113).real
 
     # -- formatting ----------------------------------------------------------
 
@@ -455,13 +436,24 @@ class Scalar:
         return mpmath.nstr(self._val, digits)
 
 
+def _exact_sum(a, pa: int, b, pb: int, op) -> Scalar:
+    """op(a sqrt(pi)^pa, b sqrt(pi)^pb), op add or sub and a, b ints or
+    Fractions; a zero operand gives the other one (negated by sub)."""
+    if not b or not a:
+        c, p = (a, pa) if not b else (op(0, b), pb)
+        return Scalar(coef=c if isinstance(c, Fraction) else Fraction(c), sqrtpi=p)
+    if pa != pb:
+        raise UnsupportedExactError("cannot add exact values with different sqrt(pi) powers")
+    return Scalar(coef=op(a, b), sqrtpi=pa)
+
+
 def scalar(x, prec: Optional[int] = None) -> Scalar:
     """Coerce ints/Fractions/strings to exact scalars and floats/complex to
     float scalars (at ``prec`` bits, default 53)."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar.exact(x)
+        return Scalar(coef=x if isinstance(x, Fraction) else Fraction(x))
     if isinstance(x, str):
         return Scalar.exact(Fraction(x))
     if isinstance(x, (float, complex, mpmath.mpf, mpmath.mpc)):
@@ -610,8 +602,9 @@ def exact_first(fn: Callable[..., SphereValue], args: Sequence,
     """``fn(*args)``, exactly where exact arithmetic can represent it.
 
     The library's one choice between exact and float arithmetic.  Exact
-    arguments stay as they are and every real, finite float argument becomes
-    the exact rational it already is, so ``fn`` runs exactly.  If it raises
+    arguments stay as they are (with no float among them they go to ``fn``
+    untouched) and every real, finite float argument becomes the exact
+    rational it already is, so ``fn`` runs exactly.  If it raises
     UnsupportedExactError, or an argument is complex or non-finite, ``fn``
     runs instead on float scalars at ctx.precision + GUARD_BITS.  When an
     argument or the route was float, the result is rounded once to
@@ -619,16 +612,15 @@ def exact_first(fn: Callable[..., SphereValue], args: Sequence,
     returned exact.
     """
     args = [scalar(x) for x in args]
-    exact = [_dyadic(x) for x in args]
+    floats = not all(x.is_exact for x in args)
+    exact = [_dyadic(x) for x in args] if floats else args
     if all(x is not None for x in exact):
         try:
             value = fn(*exact)
         except UnsupportedExactError:
             pass
         else:
-            if all(x.is_exact for x in args):
-                return value
-            return _rounded(value, ctx.precision)
+            return _rounded(value, ctx.precision) if floats else value
     guard = ctx.precision + GUARD_BITS
     return _rounded(fn(*(x.to_float_scalar(guard) for x in args)), ctx.precision)
 
@@ -732,6 +724,42 @@ def _factor_work(lengths: Sequence[tuple], first: int, last: int) -> int:
     return work
 
 
+def _rational(x):
+    """``x`` as an int or a Fraction when it is an exact rational (an int, a
+    Fraction, a "p/q" string or a rational Scalar), else None."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    x = scalar(x)
+    return None if x._sqrtpi else x._coef
+
+
+def _running_sum(progs, n_num, extends, first, last, weight, rise, one, up, down):
+    """(acc, D) of pochhammer_sum's loop over (a, b, q, l0, l1), n_num of
+    them numerators, ``rise`` building a product (see pochhammer_sum)."""
+    runs = [(0, one)] * len(progs)  # length at the last term; D's products
+    grown, acc = one, 0
+    for j in range(first, last + 1):
+        t, ext, grown = weight(j) if weight else 1, down, grown * up
+        for i, (a, b, q, l0, l1) in enumerate(progs):
+            s, n = a + j * b, l0 + j * l1
+            n0, p = runs[i]
+            if extends[i]:  # a fixed start: extend by the new factors
+                f = rise(s + n0 * q, q, n - n0)
+                if i < n_num:
+                    grown = grown * f
+                else:
+                    p, ext = p * f, ext * f
+            else:  # a numerator, or a denominator of length 0
+                p = rise(s, q, n)
+                t = t * p
+            runs[i] = (n, p)
+        if ext == 0:
+            raise PoleError(f"denominator Pochhammer vanishes at term {j}",
+                            term_index=j)
+        acc = acc * ext + t * grown
+    return acc, math.prod((p for _, p in runs[n_num:]), start=one)
+
+
 def pochhammer_sum(num: Sequence[tuple], den: Sequence[tuple], first: int, last: int,
                    weight: Optional[Callable[[int], int]] = None,
                    ctx: EvalContext = DEFAULT_CONTEXT) -> Scalar:
@@ -742,21 +770,28 @@ def pochhammer_sum(num: Sequence[tuple], den: Sequence[tuple], first: int, last:
     is None.  A sum whose factor work (_factor_work) is above
     ctx.max_terms ** 2 raises WorkBudgetError before ``weight`` is called.
 
-    Rational factors are summed in integers: (A/q + j B/q)_L is
-    prod_{i<L} (A + jB + iq) / q^L.  A progression with a fixed start, as
-    every denominator has, is extended by its new factors, and so is each
-    q's power, whose exponent is linear in j.  The numerator's new factors
-    go into one running product, the denominator's multiply the running
-    sum; so no term multiplies two long products, and the total is made a
-    Fraction once.  A progression whose start moves with j is rebuilt at
-    every term.  A float factor (exact_first passes them for complex input)
-    runs the same products in mpmath at its precision.
-    A sqrt(pi) multiple raises UnsupportedExactError.  A denominator that
-    vanishes first at term j raises PoleError with term_index j.
+    An empty range returns the mode's zero at once.  Rational factors are
+    summed in integers read from their Fractions, outside any precision
+    context: (A/q + j B/q)_L is prod_{i<L} (A + jB + iq) / q^L.  A
+    progression with a fixed start, as every denominator has, is extended by
+    its new factors, and so is each q's power, whose exponent is linear in
+    j.  The numerator's new factors go into one running product, the
+    denominator's multiply the running sum; so no term multiplies two long
+    products, and the total is made a Fraction once.  A progression whose
+    start moves with j is rebuilt at every term, and with every start moving
+    and no denominator (the theorem's sum) the loop does only that.  A float
+    factor (exact_first passes them for complex input) runs the general
+    loop in mpmath at its precision.  A sqrt(pi) multiple raises
+    UnsupportedExactError.  A denominator that vanishes first at term j
+    raises PoleError with term_index j.
     """
-    progs = [(scalar(a), scalar(b), l0, l1) for a, b, l0, l1 in num] \
-        + [(scalar(c), Scalar.exact(0), 0, l) for c, l in den]
-    extends = [b.is_zero() and l1 >= 0 for _, b, _, l1 in progs]  # see the loop
+    progs = [(a, b, l0, l1) for a, b, l0, l1 in num] + [(c, 0, 0, l) for c, l in den]
+    rats = [(_rational(a), _rational(b)) for a, b, *_ in progs]
+    exact = all(a is not None and b is not None for a, b in rats)
+    if exact and last < first:
+        return Scalar(coef=Fraction(0))
+    extends = [l1 >= 0 and (scalar(b).is_zero() if rb is None else rb == 0)
+               for (_, b, _, l1), (_, rb) in zip(progs, rats)]  # see the loop
     if first <= last:
         if any(min(l0 + first * l1, l0 + last * l1) < 0 for *_, l0, l1 in progs):
             raise ValueError("a Pochhammer length is negative on the summation range")
@@ -766,64 +801,51 @@ def pochhammer_sum(num: Sequence[tuple], den: Sequence[tuple], first: int, last:
             raise WorkBudgetError(
                 f"its Pochhammer products take {work} units of factor work, more "
                 f"than max_terms^2 = {ctx.max_terms ** 2} (max_terms = {ctx.max_terms})")
-    factors = [x for a, b, *_ in progs for x in (a, b)]
-    e0, e1 = Counter(), Counter()  # term j has q^(e0[q] + j e1[q]) in its denominator
-    exact = all(x.is_rational for x in factors)
-    if exact:
-        prec, one = MIN_PRECISION, 1
-        for i, (a, b, l0, l1) in enumerate(progs):
-            q = math.lcm(a.fraction.denominator, b.fraction.denominator)
-            progs[i] = (int(a.fraction * q), int(b.fraction * q), q, l0, l1)
-            sign = 1 if i < len(num) else -1
-            e0[q] += sign * l0
-            e1[q] += sign * l1
-
-        def rise(s, q, n):
-            return math.prod(range(s, s + n * q, q))
-    elif any(x.is_float for x in factors):
+    if not exact:
+        factors = [scalar(x) for a, b, *_ in progs for x in (a, b)]
+        if all(x.is_exact for x in factors):
+            raise UnsupportedExactError("a Pochhammer sum of sqrt(pi) multiples")
         prec, one = max(x.prec for x in factors if x.is_float), mp.mpc(1)
-        progs = [(a.to_mpc(prec), b.to_mpc(prec), 1, l0, l1) for a, b, l0, l1 in progs]
-
-        def rise(s, q, n):
-            return math.prod((s + i for i in range(n)), start=one)
-    else:
-        raise UnsupportedExactError("a Pochhammer sum of sqrt(pi) multiples")
+        if last < first:
+            return Scalar(val=mp.mpc(0), prec=prec)
+        progs = [(scalar(a).to_mpc(prec), scalar(b).to_mpc(prec), 1, l0, l1)
+                 for a, b, l0, l1 in progs]
+        with working_precision(prec):
+            acc, total_den = _running_sum(
+                progs, len(num), extends, first, last, weight,
+                lambda s, q, n: math.prod((s + i for i in range(n)), start=one), one, 1, 1)
+            return Scalar(val=acc / total_den, prec=prec)
+    ints, e0, e1 = [], {}, {}  # term j has q^(e0[q] + j e1[q]) in its denominator
+    for i, ((a, b), (*_, l0, l1)) in enumerate(zip(rats, progs)):
+        q = math.lcm(a.denominator, b.denominator)
+        ints.append((a.numerator * (q // a.denominator), b.numerator * (q // b.denominator),
+                     q, l0, l1))
+        sign = 1 if i < len(num) else -1
+        e0[q] = e0.get(q, 0) + sign * l0
+        e1[q] = e1.get(q, 0) + sign * l1
     # With R the rebuilt products, G the extended numerators times
     # up^(j-first+1), H the denominators D times down^(j-first+1), K the
     # q-powers of term first, term j is (w R G / H) down / (up K); acc / H
     # sums w R G / H, so the sum is acc / (D up K down^(last-first)).
     up = math.prod(q ** -e for q, e in e1.items() if e < 0)
     down = math.prod(q ** e for q, e in e1.items() if e > 0)
-    runs = [(0, one)] * len(progs)  # length at the last term; D's products
-    grown, acc = one, 0
-    with working_precision(prec):
+    if den or any(extends):
+        acc, total_den = _running_sum(ints, len(num), extends, first, last, weight,
+                                      lambda s, q, n: math.prod(range(s, s + n * q, q)),
+                                      1, up, down)
+    else:  # every product rebuilt, H = down^(j-first+1)
+        acc, grown, total_den = 0, 1, 1
         for j in range(first, last + 1):
-            t, ext, grown = weight(j) if weight else 1, down, grown * up
-            for i, (a, b, q, l0, l1) in enumerate(progs):
-                s, n = a + j * b, l0 + j * l1
-                n0, p = runs[i]
-                if extends[i]:  # a fixed start: extend by the new factors
-                    f = rise(s + n0 * q, q, n - n0)
-                    if i < len(num):
-                        grown = grown * f
-                    else:
-                        p, ext = p * f, ext * f
-                else:  # a numerator, or a denominator of length 0
-                    p = rise(s, q, n)
-                    t = t * p
-                runs[i] = (n, p)
-            if ext == 0:
-                raise PoleError(f"denominator Pochhammer vanishes at term {j}",
-                                term_index=j)
-            acc = acc * ext + t * grown
-        total_den = math.prod((p for _, p in runs[len(num):]), start=one)
-        if exact:
-            k = {q: e0[q] + first * e1[q] for q in e0}
-            return Scalar(coef=Fraction(
-                acc * math.prod(q ** -e for q, e in k.items() if e < 0),
-                total_den * up * down ** max(last - first, 0)
-                * math.prod(q ** e for q, e in k.items() if e > 0)))
-        return Scalar(val=acc / total_den, prec=prec)
+            t, grown = weight(j) if weight else 1, grown * up
+            for a, b, q, l0, l1 in ints:
+                s = a + j * b
+                t *= math.prod(range(s, s + (l0 + j * l1) * q, q))
+            acc = acc * down + t * grown
+    k = {q: e0[q] + first * e1[q] for q in e0}
+    return Scalar(coef=Fraction(
+        acc * math.prod(q ** -e for q, e in k.items() if e < 0),
+        total_den * up * down ** (last - first)
+        * math.prod(q ** e for q, e in k.items() if e > 0)))
 
 
 def pochhammer_sphere(a, j: int) -> SphereValue:
@@ -843,17 +865,23 @@ def gamma_ratio(x, y) -> SphereValue:
     """Gamma(x)/Gamma(y), surviving pole/pole cancellation.
 
     When x - y is an integer n the ratio *is* (y)_n (finite even when both
-    gammas are individually infinite), computed exactly for exact inputs.
+    gammas are individually infinite), computed exactly for exact inputs;
+    two rationals go straight from their Fractions to pochhammer.
     Otherwise the two gammas are evaluated and divided, with 0 returned when
     only the denominator sits on a pole and inf when only the numerator does.
     Both on poles with non-integer difference is indeterminate.
     """
     x, y = scalar(x), scalar(y)
-    diff = x - y
-    hit = diff.nearest_integer()
-    if hit is not None:
-        n, exact_hit = hit
-        return _mark(pochhammer_sphere(y, n), not exact_hit and diff.is_float)
+    if x.is_rational and y.is_rational:
+        n = x._coef - y._coef
+        if n.denominator == 1:
+            return pochhammer_sphere(y, int(n))
+    else:
+        diff = x - y
+        hit = diff.nearest_integer()
+        if hit is not None:
+            n, exact_hit = hit
+            return _mark(pochhammer_sphere(y, n), not exact_hit and diff.is_float)
     x_pole = x.is_nonpositive_integer()
     y_pole = y.is_nonpositive_integer()
     if x_pole and y_pole:

@@ -94,8 +94,9 @@ class RamanujanParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "m", "z"):
             object.__setattr__(self, name, scalar(getattr(self, name)))
-        if self.alpha.is_nonpositive_integer():
-            object.__setattr__(self, "terminating_k", -self.alpha.nearest_integer()[0])
+        hit = self.alpha.nearest_integer()
+        if hit is not None and hit[0] <= 0:
+            object.__setattr__(self, "terminating_k", -hit[0])
         hit = self.z.nearest_integer()
         if hit is not None and hit[0] >= 0:
             object.__setattr__(self, "integer_z", hit[0])
@@ -171,9 +172,10 @@ def _s_direct_terminating(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
         # j = 0: the leading m cancels (m+1)_{-1} = 1/m symbolically,
         # leaving (beta+1-k)_k; this keeps m = 0 well-defined.  Term j >= 1
         # is m (beta+1-k+j(z+1))_{k-j} (m+1+jz)_{j-1} (-k)_j / j!.
-        rest = pochhammer_sum([(beta + 1 - k, z + 1, k, -1), (m + 1, z, -1, 1)], (),
+        start = beta + 1 - k
+        rest = pochhammer_sum([(start, z + 1, k, -1), (m + 1, z, -1, 1)], (),
                               1, k, _signed_binomial(k), ctx)
-        return SphereValue.of(pochhammer(beta + 1 - k, k) + m * rest)
+        return SphereValue.of(pochhammer(start, k) + m * rest)
 
     value = exact_first(direct_sum, (p.beta, p.m, p.z), ctx)
     return _finite_sum_result(value, _terminating_cls(k))

@@ -1,9 +1,10 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -24,6 +25,7 @@ from hypersum.numeric_core import (
     scalar,
     _factor_work,
 )
+from hypersum import HypParams, RamanujanParams, pfq, verify_theorem
 
 # Reference values computed once at 200 bits and frozen as strings.
 GAMMA_POINTS = [
@@ -54,7 +56,100 @@ def honest_bound(prec):
     return mpmath.mpf(2) ** -(prec - 4)
 
 
+SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+SCALAR_OPERANDS = st.one_of(
+    SMALL_FRACTIONS.map(Scalar.exact),
+    st.builds(Scalar.exact_sqrtpi, SMALL_FRACTIONS, st.sampled_from([1, 2, -1])),
+    st.integers(min_value=-4, max_value=4),
+    SMALL_FRACTIONS,
+    st.builds(Scalar.from_float,
+              st.one_of(st.floats(min_value=-5, max_value=5), st.just(0.0),
+                        st.complex_numbers(max_magnitude=5, allow_infinity=False,
+                                           allow_nan=False)),
+              st.sampled_from([53, 256])))
+SCALAR_OPS = [operator.add, operator.sub, operator.mul, operator.truediv,
+              operator.eq, operator.lt]
+
+
+def scalar_op_model(op, x, y):
+    """op(x, y) as Scalar defines it, from Fractions and mpmath alone:
+    (coefficient, sqrt(pi) power) for an exact result, the raw mpc value and
+    precision for a float one, a bool for == and <."""
+    floats = [s for s in (x, y) if isinstance(s, Scalar) and s.is_float]
+    if not floats:
+        (a, pa), (b, pb) = ((s.coefficient, s.sqrtpi_power) if isinstance(s, Scalar)
+                            else (Fraction(s), 0) for s in (x, y))
+        if op is operator.eq:
+            return a == b and pa == pb
+        if op is operator.lt:
+            if pa == pb == 0:
+                return a < b
+            return scalar(x).to_mpc(113).real < scalar(y).to_mpc(113).real
+        if op in (operator.add, operator.sub):
+            if not b or not a:   # a zero operand gives the other one
+                coef, power = (a, pa) if not b else (op(0, b), pb)
+            elif pa != pb:
+                raise UnsupportedExactError
+            else:
+                coef, power = op(a, b), pa
+        elif op is operator.mul:
+            coef, power = a * b, pa + pb
+        else:
+            if not b:
+                raise ZeroDivisionError
+            coef, power = a / b, pa - pb
+        return coef, power if coef else 0
+    if len({s.prec for s in floats}) > 1:
+        raise PrecisionMixError
+    prec = floats[0].prec
+    a, b = (scalar(s).to_mpc(prec) for s in (x, y))
+    if op is operator.truediv and b == 0:
+        raise ZeroDivisionError
+    if op is operator.lt and (a.imag != 0 or b.imag != 0):
+        raise TypeError
+    with mp.workprec(prec):
+        if op is operator.lt:
+            return a.real < b.real
+        value = op(a, b)
+    return value if op is operator.eq else (value._mpc_, prec)
+
+
+def outcome(fn):
+    """fn()'s value, with a Scalar result as scalar_op_model gives it, or the
+    type of the error it raised."""
+    try:
+        value = fn()
+    except (UnsupportedExactError, PrecisionMixError, ZeroDivisionError, TypeError) as exc:
+        return type(exc)
+    if isinstance(value, Scalar):
+        if value.is_exact:
+            return value.coefficient, value.sqrtpi_power
+        return value._val._mpc_, value.prec
+    return value
+
+
 class TestScalar:
+    @given(SCALAR_OPERANDS, SCALAR_OPERANDS, st.sampled_from(SCALAR_OPS))
+    @settings(max_examples=600, deadline=None)
+    def test_operators_match_fractions_and_mpmath(self, x, y, op):
+        # exact results are Fraction arithmetic with their sqrt(pi) power,
+        # float results mpmath's bits at the float operand's precision
+        assume(isinstance(x, Scalar) or isinstance(y, Scalar))
+        got = outcome(lambda: op(x, y))
+        assert got == outcome(lambda: scalar_op_model(op, x, y))
+
+    @pytest.mark.parametrize("call", [
+        lambda: RamanujanParams(0.5, 1, 0.5, float("inf")),
+        lambda: pfq([float("nan"), 1], [3]),
+        lambda: verify_theorem(3, float("inf"), 0.5, 2.0),
+        lambda: RamanujanParams(0.5, float("nan"), 0.5, 2),
+        lambda: HypParams((float("inf"),), (Fraction(5, 2),)),
+        lambda: Scalar.from_float(complex(1, float("inf")), 113),
+    ])
+    def test_non_finite_floats_refused(self, call):
+        with pytest.raises(InvalidParametersError, match="(inf|nan).* is not a finite number"):
+            call()
+
     def test_exact_arithmetic_stays_exact(self):
         a = Scalar.exact(1, 3)
         b = Scalar.exact(1, 6)
@@ -409,6 +504,14 @@ class TestPochhammerSum:
         st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=300, deadline=None)
+    # the empty range
+    @example([], [(Fraction(1, 3), 1, 0, 1)], [(Fraction(2, 5), 1)], 2)
+    # the theorem's shape: two moving starts, no denominator, alternating weights
+    @example([-4, 6, -4, 1], [(Fraction(-5, 2), Fraction(9, 4), 4, -1),
+                              (Fraction(4, 3), Fraction(5, 4), -1, 1)], [], 1)
+    # fixed and moving starts together
+    @example([1, -2, 3], [(Fraction(1, 3), 0, 1, 2), (Fraction(-5, 2), Fraction(1, 2), 2, 0)],
+             [(Fraction(3, 4), 1)], 0)
     def test_matches_fraction_oracle(self, weights, num, den, first):
         last = first + len(weights) - 1
         # lengths l0 + j l1 stay nonnegative on the range
@@ -458,6 +561,8 @@ class TestPochhammerSum:
                        / (mpmath.rf(zz + 2, j) * mpmath.factorial(j))
                        for j, w in enumerate([1, -3, 3, -1]))
             assert rel_err(got.to_mpc(prec), want) < mpmath.mpf(2) ** -(prec - 8)
+        empty = pochhammer_sum([(z, Fraction(1, 3), 1, 1)], [(z + 2, 1)], 1, 0)
+        assert empty.is_float and empty.prec == prec and empty.is_zero()
 
 
 class TestFactorWork:
@@ -497,6 +602,16 @@ class TestFactorWork:
             pochhammer_sum(num, [], 0, 20, weight_never_called, EvalContext(max_terms=1892))
         assert pochhammer_sum(num, [], 0, 20, ctx=EvalContext(max_terms=1893)) \
             == pochhammer_sum(num, [], 0, 20)
+
+
+    def test_theorem_shape_refused_before_any_weight(self):
+        # the terminating theorem's sum at k = 40: two products rebuilt at
+        # every term, lengths 40 - j and j - 1, each C(40, 3) = 9880 units
+        num = [(Fraction(-75, 2), Fraction(9, 4), 40, -1), (Fraction(4, 3), Fraction(5, 4), -1, 1)]
+        with pytest.raises(InvalidParametersError, match="19760"):
+            pochhammer_sum(num, [], 1, 40, weight_never_called, EvalContext(max_terms=140))
+        assert pochhammer_sum(num, [], 1, 40, ctx=EvalContext(max_terms=141)) \
+            == pochhammer_sum(num, [], 1, 40)
 
 
 def weight_never_called(j):

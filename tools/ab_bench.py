@@ -14,8 +14,9 @@ pair by pair; pair i of a workload uses the seed ``--seed-base + i``, the
 same on both sides.  The JSON written to
 ``--out`` holds, per workload, every run's summary line and, per end-to-end
 metric of BENCHMARK.json, both sides' values, medians, quartiles and IQRs,
-the per-pair ratios (change / parent) and the number of pairs in which the
-change was better, and each side's attempted and failed op totals.  A run
+the per-pair ratios (change / parent), the number of pairs in which the
+change was better and the verdict of the claim rule (see ``verdict``), and
+each side's attempted and failed op totals.  A run
 that reads ``"correct": false`` (``run.py`` still exits 0 then) makes the
 tool exit 1 without writing ``--out``: a speedup from wrong results is no
 speedup.
@@ -85,8 +86,33 @@ def spread(values) -> dict:
     return {"values": values, "median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(metric: dict, parent: dict, change: dict, wins: int, pairs: int) -> str:
+    """The claim rule on one metric, from both sides' spreads and the pairs
+    the change won (a tie counts for neither side):
+
+    - ``better``: the change won at least 9 in 10 pairs and its median is
+      better than the parent's by more than the parent's IQR;
+    - ``worse``: the change median is worse than the parent's by more than
+      the metric's bound (a fraction of the parent median);
+    - ``unresolved``: the parent's IQR is more than the bound times its
+      median, and not every change run beats every parent run;
+    - ``within_bound`` otherwise.
+    """
+    sign = 1 if metric["better"] == "higher" else -1   # sign * (x - y) > 0: x beats y
+    gain = sign * (change["median"] - parent["median"])
+    if 10 * wins >= 9 * pairs and gain > parent["iqr"]:
+        return "better"
+    if -gain > metric["bound"] * abs(parent["median"]):
+        return "worse"
+    beats_all = all(sign * (c - p) > 0 for c in change["values"] for p in parent["values"])
+    if parent["iqr"] > metric["bound"] * abs(parent["median"]) and not beats_all:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(runs: list, metrics: list) -> dict:
-    """Per metric: both sides' spread, per-pair ratios and the pairs won."""
+    """Per metric: both sides' spread, per-pair ratios, the pairs won and the
+    verdict of the claim rule."""
     out = {}
     for m in metrics:
         name = m["name"]
@@ -97,14 +123,17 @@ def summarize(runs: list, metrics: list) -> dict:
             continue
         parent, change = [a for a, _ in pairs], [b for _, b in pairs]
         higher = m["better"] == "higher"
+        wins = sum((b > a) if higher else (b < a) for a, b in pairs)
         out[name] = {
             "better": m["better"],
             "parent": spread(parent),
             "change": spread(change),
             "ratios": [b / a if a else None for a, b in pairs],
-            "change_better_in": sum((b > a) if higher else (b < a) for a, b in pairs),
+            "change_better_in": wins,
             "pairs": len(pairs),
         }
+        out[name]["verdict"] = verdict(m, out[name]["parent"], out[name]["change"],
+                                       wins, len(pairs))
     return out
 
 
