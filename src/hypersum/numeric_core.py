@@ -167,7 +167,7 @@ class Scalar:
     Every operator tests the modes once (_exact_operand): when both operands
     are exact (an exact Scalar, an int, a Fraction or a "p/q" string) it works
     on the Fractions, and otherwise on mpc values at the float operand's
-    precision, inside one working_precision block.
+    precision.
     """
 
     __slots__ = ("_coef", "_sqrtpi", "_val", "prec")

@@ -145,7 +145,8 @@ class TestScalar:
         lambda: RamanujanParams(0.5, float("nan"), 0.5, 2),
         lambda: HypParams((float("inf"),), (Fraction(5, 2),)),
         lambda: Scalar.from_float(complex(1, float("inf")), 113),
-    ])
+    ], ids=["params-z-inf", "pfq-nan", "verify-beta-inf", "params-beta-nan",
+            "hypparams-inf", "complex-inf"])
     def test_non_finite_floats_refused(self, call):
         with pytest.raises(InvalidParametersError, match="(inf|nan).* is not a finite number"):
             call()
