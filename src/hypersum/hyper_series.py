@@ -15,11 +15,12 @@ Summation strategy by case:
 * p = q+1: the ratio tends to 1 from below and a geometric bound never
   certifies anything useful.  Instead the tail from index N is written as
   t_N * u(N) where u satisfies u(N) = 1 + r(N) u(N+1), and u is expanded in
-  powers of 1/N.  The expansion coefficients come from a triangular linear
-  system and do not depend on N, so the cutoff can be doubled cheaply until
-  two truncation depths of the correction agree.  r and every column of
-  the system are products of linear factors (1 + c/N)^{+-1}, each applied
-  as a first-order recurrence, so the build costs O(depth^2).  One engine
+  powers of 1/N.  The expansion coefficients do not depend on N, so the
+  cutoff can be doubled cheaply until two truncation depths of the
+  correction agree.  With r written as a ratio of two degree-p integer
+  polynomials in 1/N, each coefficient follows from the ones before it by
+  about 2p products with those polynomials' small integers, one dot
+  product with a row of signed binomials and one division.  One engine
   does all of this in one of two arithmetics at W = precision + 40 bits:
   integers scaled by 2^W for real rational parameters (real floats as
   dyadic rationals), kept over their common denominator, and mpc for
@@ -30,6 +31,7 @@ Summation strategy by case:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -90,7 +92,8 @@ class EvalResult:
     # one error is the final rounding); other floats are estimates.  On the
     # p <= q route it is mp.hyper's target accuracy 2^-P |value|.  On the
     # balanced route it is the difference between two truncation depths,
-    # floored at 2^-P |value|: an estimate, not a bound.
+    # floored at 2^-P |value| and at an estimate of the fixed-point rounding:
+    # an estimate, not a bound.
     tail_bound: Union[int, float]
     classification: SeriesClassification
     experimental: bool = False
@@ -281,55 +284,52 @@ def _arithmetic(xs, w: int):
         lambda x: to_fixed(x._mpf_, w))
 
 
-def _ratio_series(a_vals, b_vals, length, mul, one):
-    """Coefficients of prod(1 + a_i x) / prod(1 + b_j x) to ``length`` terms,
-    in the arithmetic (one, mul) of _arithmetic: the term ratio r(x), x = 1/N,
-    when b_vals ends in ``one``.
-
-    Each linear factor is one first-order recurrence on the truncated
-    series: multiplying by (1 + c x) is r[t] += c r[t-1] with t descending,
-    dividing by it is r[t] -= c r[t-1] with t ascending.
-    """
-    r = [one] + [0] * (length - 1)
-    for a in a_vals:
-        for t in range(length - 1, 0, -1):
-            r[t] += mul(a, r[t - 1])
-    for b in b_vals:
-        for t in range(1, length):
-            r[t] -= mul(b, r[t - 1])
-    return r
+def _linear_product(d, xs):
+    """Coefficients, lowest power first, of prod_i (d + xs[i] x)."""
+    poly = [1]
+    for a in xs:
+        poly = [hi * d + lo * a for hi, lo in zip(poly + [0], [0] + poly)]
+    return poly
 
 
-def _tail_coefficients(r, depth, div, one):
+@functools.lru_cache(maxsize=None)
+def _signed_binomials(depth):
+    """Rows e <= depth of (-1)^(e-k) C(e-1, k-1), k = 1..e-2: c_k's weights in v_e."""
+    return tuple([(-1) ** (e - k) * math.comb(e - 1, k - 1) for k in range(1, e - 1)]
+                 for e in range(depth + 1))
+
+
+def _tail_coefficients(ints, d, p: int, depth: int, div, one):
     """Solve for u(N) ~ c_{-1} N + c_0 + c_1/N + ... from u = 1 + r u(N+1),
-    in the arithmetic (one, div) of _arithmetic.
+    in the arithmetic (one, div) of _arithmetic, for the parameters
+    ints[i] / d (numerators first, p of them).
 
-    Substituting the ansatz and collecting powers of x = 1/N gives a lower
-    triangular system.  The x^0 equation pins c_{-1} = 1/s with
-    s = sum(den) - sum(num) (the convergence abscissa), and each higher
-    order determines one further coefficient.  Column k of the system needs
-    r(x) (1+x)^{-k}; one running copy is divided by (1 + x) per column, so
-    the whole build costs O(depth^2).
+    With x = 1/N, r = pa(x) / pd(x) for pa = prod(d + A_i x) and
+    pd = (d + d x) prod(d + B_k x), so pd u - pa v = pd with
+    v = u(N+1) = c_{-1} (1+x)/x + sum_k c_k (x/(1+x))^k.  At order x^e the
+    c_e terms cancel (pa[0] == pd[0]) and c_{e-1} carries
+    pd[1] - pa[1] + pa[0] (e-1): x^0 gives c_{-1} = 1/s with s = sum(den) -
+    sum(num), and each later order one coefficient from those before it,
+    by p products with pa and pd and, for v, a dot product with a row of
+    signed binomials.  In integers pa and pd stay exact until they would
+    pass W bits (a wide float's d is near 2^P); then both shift right by
+    one amount, so that pa[0] == pd[0] still.
     """
-    em1 = [-(r[t + 1] + r[t]) for t in range(depth + 1)]
-    es = []
-    rk = r[:depth + 1]
-    for k in range(depth):
-        if k:
-            for t in range(1, depth + 1):
-                rk[t] -= rk[t - 1]
-        ek = [0] * (depth + 1)
-        for t in range(k, depth + 1):
-            ek[t] = (one if t == k else 0) - rk[t - k]
-        es.append(ek)
-    cm1 = div(one * one, em1[0])
-    cs = []
-    for t in range(1, depth + 1):
-        s = cm1 * em1[t]
-        for k in range(t - 1):
-            s += cs[k] * es[k][t]
-        cs.append(div(-s, es[t - 1][t]))
-    return cm1, cs
+    pa, pd = _linear_product(d, ints[:p]), _linear_product(d, ints[p:] + [d])
+    if d > 1:  # integers (the mpc arithmetic has d = 1)
+        shift = max(0, max(map(abs, pa + pd)).bit_length() - one.bit_length())
+        pa, pd = [x >> shift for x in pa], [x >> shift for x in pd]
+    cs, vs, pending = [], [], 0  # pending: v_(e-1) without its c_(e-1) term
+    for e, row in enumerate(_signed_binomials(depth)):
+        part = sum(map(operator.mul, row, cs[2:]))  # v_e without c_(e-1), c_e
+        rhs = pa[0] * part + pa[1] * pending + (pd[e] * one if e <= p else 0)
+        for m in range(2, min(p, e + 1) + 1):
+            rhs += pa[m] * vs[e + 1 - m] - pd[m] * cs[e + 1 - m]
+        c = div(rhs, pd[1] - pa[1] + pa[0] * (e - 1))
+        cs.append(c)
+        vs.append(pending + c)
+        pending = part - (e - 1) * c
+    return cs[0], cs[1:]
 
 
 def _tail_u(n, cm1, cs, div):
@@ -342,21 +342,17 @@ def _tail_u(n, cm1, cs, div):
 
 
 def _balanced(ints, d: int, p: int, n: int, depth: int, arith: _Arithmetic):
-    """Yields (N, sum plus tail, |t_N (u_hi - u_lo)|) for the parameters
-    ints[i] / d (numerators first, p of them) from N = n on, N doubling,
-    in the arithmetic of _arithmetic.
-
-    The term step is t = div(t prod(A_i + jD), D (j+1) prod(B_k + jD)).
-    The tail build takes each parameter as div(A one, D): in integers,
-    rounded to a multiple of 2^-W, so that its integers stay near W bits
-    however large D is.
+    """Yields (N, sum plus tail, |t_N (u_hi - u_lo)|, N (N + |u_hi|) max|t_j|)
+    for the parameters ints[i] / d (numerators first, p of them) from N = n
+    on, N doubling, in the arithmetic of _arithmetic.  The term step is
+    t = div(t prod(A_i + jD), D (j+1) prod(B_k + jD)); it rounds by up to
+    2^-W max|t_j|, an error that grows with j, in the partial sum and in
+    t_N u(N), so the last entry times 2^-W estimates the rounding.
     """
-    one, mul, div, value, _ = arith
+    one, _, div, value, _ = arith
     nums, dens = ints[:p], ints[p:]
-    fixed = [div(x * one, d) for x in ints]
-    r = _ratio_series(fixed[:p], fixed[p:] + [one], depth + 2, mul, one)
-    cm1, cs = _tail_coefficients(r, depth, div, one)
-    acc, t, done = 0, one, 0
+    cm1, cs = _tail_coefficients(ints, d, p, depth, div, one)
+    acc, t, big, done = 0, one, one, 0
     while True:
         for j in range(done, n):
             acc += t
@@ -366,29 +362,32 @@ def _balanced(ints, d: int, p: int, n: int, depth: int, arith: _Arithmetic):
             for b in dens:
                 den *= b + jd
             t = div(t * num, den)
+            if not (-big <= t.real <= big and -big <= t.imag <= big):  # no sqrt, no call
+                big = max(abs(t.real), abs(t.imag))  # |t| to within sqrt(2)
         done = n
         u_hi = _tail_u(n, cm1, cs, div)
         u_lo = _tail_u(n, cm1, cs[:-4], div)
-        yield n, value(acc * one + t * u_hi), value(abs(t * (u_hi - u_lo)))
+        yield (n, value(acc * one + t * u_hi), value(abs(t * (u_hi - u_lo))),
+               value(n * (n * one + abs(u_hi)) * big))
         n *= 2
 
 
 def _sum_balanced(params: HypParams, cls: SeriesClassification,
                   ctx: EvalContext) -> EvalResult:
     """p = q+1 at unit argument: partial sum to N plus the asymptotic tail
-    correction t_N u(N), doubling N until two truncation depths agree.
-    One engine, _balanced, works at W = ctx.precision + 40 bits in one of
-    two arithmetics: integers scaled by 2^W, with real rational parameters
-    (real floats as their dyadic rationals) over their common denominator D,
-    or mpc for complex parameters and sqrt(pi) multiples, over D = 1.  Only
-    the stop test and the rounding use mpf.
+    correction t_N u(N), doubling N until two truncation depths agree, by
+    _balanced at W = ctx.precision + 40 bits in the arithmetic that
+    _arithmetic picks.  Only the stop test and the rounding use mpf.
 
     tail_bound is |t_N (u_hi - u_lo)|, where u_lo drops the last four of the
     18 expansion coefficients that u_hi uses, floored at 2^-P |sum|, the
-    rounding to P = ctx.precision bits.  It estimates the error and bounds
+    rounding to P = ctx.precision bits, and at 2^-W N (N + |u_hi|) max|t_j|,
+    the rounding of the term steps.  It estimates the error and bounds
     nothing: for 2F1(5/3, 3; 58/9; 1) at 53 bits the two depths differ by
     3.8e-26 against a true error of 1.15e-16, which the floor, 5.0e-16,
-    covers.
+    covers.  The stop reads only the two depths, so 2F1(1/2, -31/2; -29/2 +
+    1e-40; 1), which cancels far below its terms, stops on an error that
+    only the rounding term covers.
     """
     depth = 18
     prec_work = ctx.precision + 40
@@ -397,9 +396,10 @@ def _sum_balanced(params: HypParams, cls: SeriesClassification,
         # the first N, past where the largest parameter still shapes the terms
         n = min(max(64, int(4 * max([abs(x) for x in ints] + [d]) / d) + 16),
                 ctx.max_terms)
-        for n, total, err in _balanced(ints, d, params.p, n, depth, arith):
+        for n, total, err, rounding in _balanced(ints, d, params.p, n, depth, arith):
             if err <= max(ctx.rel_tol * abs(total), ctx.abs_tol):
-                bound = max(err, mp.ldexp(abs(total), -ctx.precision))
+                bound = max(err, mp.ldexp(abs(total), -ctx.precision),
+                            mp.ldexp(rounding, -prec_work))
                 with working_precision(ctx.precision):
                     val = mp.mpc(+total)
                 return EvalResult(

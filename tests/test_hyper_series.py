@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hypersum.hyper_series import (
+    _MPMATH,
     EvalResult,
     HypParams,
     SeriesKind,
+    _arithmetic,
+    _tail_coefficients,
     classify,
     eval_at_1,
     pfq,
@@ -370,6 +373,101 @@ class TestFixedPointRoute:
         assert abs(partial.to_mpc(128) - ref) < 1e-6 * abs(ref)
 
 
+def _series_mul(f, g, n):
+    """The first n coefficients of the product of two power series."""
+    return [sum(f[i] * g[k - i] for i in range(k + 1) if i < len(f) and k - i < len(g))
+            for k in range(n)]
+
+
+def _exact_tail(xs, p, depth):
+    """The tail build in exact arithmetic: Fraction parameters over d = 1."""
+    cm1, cs = _tail_coefficients(xs, 1, p, depth, lambda a, b: F(a) / b, 1)
+    return [cm1] + cs
+
+
+def _within_running_scale(got, exact, tol):
+    """|got_k - exact_k| <= tol * max(1, |exact_0|, ..., |exact_k|) for every k:
+    a coefficient's rounding comes from the ones before it.  The rows of
+    signed binomials carry those roundings on with weights that sum to
+    2^(e-1), 2^17 at depth 18, so tol leaves room above that."""
+    scale = 1
+    for k, (g, e) in enumerate(zip(got, exact)):
+        scale = max(scale, abs(e))
+        assert abs(g - e) <= tol * scale, (k, float(g), float(e))
+
+
+@st.composite
+def _balanced_params(draw):
+    """p numerator and p-1 denominator rationals with balance in (0.1, 3),
+    every denominator at most 12."""
+    p = draw(st.integers(2, 4))
+    frac = lambda lo, hi: st.fractions(min_value=lo, max_value=hi, max_denominator=12)
+    nums = draw(st.lists(frac(-3, 3), min_size=p, max_size=p))
+    dens = draw(st.lists(frac(F(1, 10), 4), min_size=p - 2, max_size=p - 2))
+    balance = draw(frac(F(1, 10), 3).filter(lambda s: F(1, 10) < s < 3))
+    return p, nums + dens + [sum(nums) - sum(dens) + balance], balance
+
+
+class TestTailCoefficients:
+    """The tail build: u(N) = c_{-1} N + sum c_k N^-k solving u = 1 + r u(N+1),
+    checked against the defining equation itself, composed independently of
+    the build's binomial rows."""
+
+    depth = 18
+
+    @settings(max_examples=60, deadline=None)
+    @given(_balanced_params())
+    def test_exact_build_solves_the_defining_equation(self, case):
+        p, xs, balance = case
+        depth = self.depth
+        cs = _exact_tail(xs, p, depth)
+        assert cs[0] == 1 / balance
+        n = depth + 2  # x u, x v and x pd through x^(depth+1)
+        pa, pd = [F(1)], [F(1), F(1)]
+        for a in xs[:p]:
+            pa = _series_mul(pa, [1, a], n)
+        for b in xs[p:]:
+            pd = _series_mul(pd, [1, b], n)
+        xu = cs + [0] * (n - len(cs))  # c_{-1} + c_0 x + c_1 x^2 + ...
+        # x v = c_{-1} (1+x) + c_0 x + sum_k c_k x (x/(1+x))^k, the powers of
+        # x/(1+x) by repeated series multiplication
+        y = [0] + [(-1) ** (k - 1) for k in range(1, n)]
+        xv, power = [cs[0], cs[0] + cs[1]] + [0] * (n - 2), [0, 1] + [0] * (n - 2)
+        for c in cs[2:]:
+            power = _series_mul(power, y, n)
+            xv = [v + c * q for v, q in zip(xv, power)]
+        lhs = [a - b - c for a, b, c in zip(_series_mul(pd, xu, n), _series_mul(pa, xv, n),
+                                            [0] + pd)]
+        assert lhs == [0] * n
+
+    @pytest.mark.parametrize("w", [93, 296, 1064])
+    @settings(max_examples=30, deadline=None)
+    @given(case=_balanced_params())
+    def test_integer_build_matches_exact(self, case, w):
+        p, xs, _ = case
+        exact = _exact_tail(xs, p, self.depth)
+        ints, d, arith = _arithmetic([Scalar.exact(x) for x in xs], w)
+        assert arith is not _MPMATH
+        cm1, cs = _tail_coefficients(ints, d, p, self.depth, arith.div, arith.one)
+        # worst seen over 3000 draws: 2^15.5 units of 2^-W times the running scale
+        _within_running_scale([F(c, 2 ** w) for c in [cm1] + cs], exact, F(2 ** 20, 2 ** w))
+
+    @pytest.mark.parametrize("w", [93, 296, 1064])
+    @settings(max_examples=30, deadline=None)
+    @given(case=_balanced_params())
+    def test_mpc_build_matches_exact(self, case, w):
+        # mpc also rounds the parameters and each product by a binomial, which
+        # integers do not: worst seen over 3000 draws 2^-(W-24.2), for
+        # 2F1(-2, -13/5; -13/5), whose factors cancel to c_k = 0 past c_{-1}
+        p, xs, _ = case
+        exact = _exact_tail(xs, p, self.depth)
+        with mp.workprec(w):
+            cm1, cs = _tail_coefficients([_mp(x) for x in xs], 1, p, self.depth,
+                                         _MPMATH.div, _MPMATH.one)
+            _within_running_scale([cm1] + cs, [_mp(e) for e in exact],
+                                  mp.mpf(2) ** -(w - 28))
+
+
 class TestConvergentEval:
     def test_telescoping_value(self):
         # terms are 2/((j+1)(j+2)), so the sum telescopes to 2
@@ -435,6 +533,18 @@ class TestConvergentEval:
                    (mpmath.gamma(fr(c - a)) * mpmath.gamma(fr(c - b))))
             err = abs(r.value.finite.to_mpc(53) - ref)
         assert err > 1e-16
+        assert r.tail_bound >= err
+
+    @pytest.mark.parametrize("prec", [53, 64, 128, 256])
+    def test_tail_bound_covers_fixed_point_rounding(self, prec):
+        # the partial sum, 0.497, cancels against t_N u(N) to a value of
+        # 2.17e-39; the floors of 1248 term steps at 2^-(P+40) put the error
+        # near N^2 2^-(P+40), far above 2^-P |sum| and the two depths' gap
+        a, b, c = F(1, 2), F(-31, 2), F(-29, 2) + F(1, 10 ** 40)
+        r = pfq([a, b], [c], EvalContext(precision=prec))
+        with mp.workprec(2 * prec + 60):
+            err = abs(r.value.finite.to_mpc(2 * prec + 60) - _gauss(_mp(a), _mp(b), _mp(c)))
+        assert r.terms_used == 1248
         assert r.tail_bound >= err
 
     def test_tail_bound_is_honest(self):
@@ -615,6 +725,18 @@ class TestKnownWrongAnswers:
         r = pfq([F(1, 3), F(1, 4)], [F(25, 12)], EvalContext(precision=prec))
         with mp.workprec(2 * prec + 60):
             ref = _gauss(_mp(F(1, 3)), _mp(F(1, 4)), _mp(F(25, 12)))
+            err = abs(r.value.finite.to_mpc(prec) - ref) / abs(ref)
+            assert err <= mp.mpf(2) ** -(prec - 8), float(mpmath.log(err, 2))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the balanced stop reads only the two "
+                              "depths, not the rounding of a cancelling sum")
+    def test_cancelling_balanced_2f1_reaches_p_bits(self):
+        prec = 53
+        a, b, c = F(1, 2), F(-31, 2), F(-29, 2) + F(1, 10 ** 40)
+        r = pfq([a, b], [c], EvalContext(precision=prec))
+        with mp.workprec(2 * prec + 60):
+            ref = _gauss(_mp(a), _mp(b), _mp(c))
             err = abs(r.value.finite.to_mpc(prec) - ref) / abs(ref)
             assert err <= mp.mpf(2) ** -(prec - 8), float(mpmath.log(err, 2))
 
