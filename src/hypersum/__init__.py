@@ -2,7 +2,6 @@
 series at unit argument, with closed-form verification tools."""
 
 from .numeric_core import (
-    Mode,
     Scalar,
     SphereValue,
     EvalContext,
@@ -69,7 +68,7 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mode", "Scalar", "SphereValue", "EvalContext", "DEFAULT_CONTEXT",
+    "Scalar", "SphereValue", "EvalContext", "DEFAULT_CONTEXT",
     "scalar", "gamma", "pochhammer", "pochhammer_sphere", "gamma_ratio",
     "HypersumError", "UnsupportedExactError", "PoleError",
     "IndeterminateError", "PrecisionMixError", "DivergentSeriesError",

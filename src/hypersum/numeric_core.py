@@ -20,7 +20,6 @@ ratio reduces to a Pochhammer symbol and is computed exactly.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -33,7 +32,6 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 __all__ = [
-    "Mode",
     "Scalar",
     "SphereValue",
     "EvalContext",
@@ -130,11 +128,6 @@ class IdentityAssertionError(HypersumError):
 working_precision = mp.workprec
 
 
-class Mode(enum.Enum):
-    EXACT = "exact"
-    FLOAT = "float"
-
-
 def _near_int(re_val, im_val):
     """Return (n, exact_hit) if re+im*i is within INTEGER_DETECTION_TOL of n."""
     if abs(im_val) > INTEGER_DETECTION_TOL:
@@ -206,10 +199,6 @@ class Scalar:
         return cls(val=v, prec=prec)
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def mode(self) -> Mode:
-        return Mode.EXACT if self._coef is not None else Mode.FLOAT
 
     @property
     def is_exact(self) -> bool:
@@ -379,22 +368,6 @@ class Scalar:
             raise ZeroDivisionError("exact division by zero")
         return Scalar(coef=b[0] / self._coef, sqrtpi=b[1] - self._sqrtpi)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if self._coef is not None:
-            if n >= 0 or self._coef != 0:
-                return Scalar(coef=self._coef**n, sqrtpi=self._sqrtpi * n)
-            raise ZeroDivisionError("0 to a negative power")
-        with working_precision(self.prec):
-            return Scalar(val=self._val**n, prec=self.prec)
-
-    def __abs__(self):
-        if self._coef is not None:
-            return Scalar(coef=abs(self._coef), sqrtpi=self._sqrtpi)
-        with working_precision(self.prec):
-            return Scalar(val=mp.mpc(abs(self._val)), prec=self.prec)
-
     def __eq__(self, other):
         b = self._exact_operand(other)
         if b is None:
@@ -512,9 +485,6 @@ class SphereValue:
         return SphereValue(finite=self.finite * other.finite, is_infinity=False,
                            tolerance_dependent=td)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __truediv__(self, other) -> "SphereValue":
         if not isinstance(other, SphereValue):
             other = SphereValue.of(other)
@@ -530,11 +500,6 @@ class SphereValue:
         if self.is_infinity or other.is_infinity:
             return self.is_infinity and other.is_infinity
         return self.finite == other.finite
-
-    def to_mpc(self, prec: Optional[int] = None):
-        if self.is_infinity:
-            raise PoleError("value is infinite")
-        return self.finite.to_mpc(prec)
 
     def __str__(self):
         return "inf" if self.is_infinity else str(self.finite)

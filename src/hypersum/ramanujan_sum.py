@@ -13,15 +13,9 @@ expression in beta, m, z; the claimed closed form is
 Gamma(beta+1-m)/Gamma(alpha+beta+1-m) = (beta+1-m-k)_k, and it is
 independent of z.  For nonterminating alpha the closed form generally
 fails; only z = 0 (with convergence) is covered.  Nonnegative integer z is
-summed as a balanced hypergeometric series; any other z is summed directly
-up to a cutoff N and completed by an Euler-Maclaurin tail, the Hurwitz zeta
-values zeta(2+k, N) at the integer N folded into one power series in 1/N,
-and those results are marked experimental.  For real rational parameters
-(real floats as their dyadic rationals) the direct terms, the tail and
-their sums are fixed-point integers, and at z = p/q > 0 most direct terms
-follow from the one q places back by an exact integer ratio instead of
-four gamma calls; mpf is left for those gamma calls, the tail's constant,
-the stop bound and the final rounding.
+summed as a balanced hypergeometric series; any other z by
+_s_direct_experimental, N direct terms and an Euler-Maclaurin tail in 1/N,
+and those results are marked experimental.
 """
 
 from __future__ import annotations
@@ -213,19 +207,27 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     Hurwitz zeta summed to an absolute 2^-prec, as mpmath's is, loses the
     bits of these tiny values.
 
-    Tail terms are added until one after the first falls below 2^-(P+30)
-    of |S|, abs_tol standing in for |S| near 0; a tail not settled by depth
-    0.6 (P+30) raises ConvergenceError, as does N above max_terms, before
-    any term is summed.  N is (0.2 (P+30) + r) / min(|z|, 1) rounded up, with r the
-    largest |b| or |c|, and at least 16, so that both expansions converge
-    fast from N on; for real z every gamma argument past N has a positive
-    real part, so no pole lies in the tail.  Re z <= 0 is refused: the
-    expansion does not hold there, and the direct terms run first so that a
-    pole or the divergence guard (16 growing terms past j = 32) names where
-    the series breaks down.  The guard watches only Re z <= 0: for Re z > 0
-    every term decays like j^-2 in the end, since the three exponents sum to
-    -2, and growing terms only mean that large parameters have not reached
-    that regime (at S(1/2, 1, 60, 7/2) they grow past j = 32).
+    The route's four rules, each made in one place; the direct loop only sums:
+    - N is (0.2 (P+30) + r) / min(|z|, 1) rounded up, with r the largest
+      |b| or |c|, and at least 16; N above max_terms raises
+      ConvergenceError.  For real z every gamma argument past N is
+      positive, so no pole lies in the tail.
+    - Re z <= 0 is refused, since the expansion does not hold there: the
+      first j < N whose numerator gamma sits on a pole raises PoleError
+      naming j, else DivergentSeriesError.  No gamma is evaluated.
+    - For real rational parameters and z = p/q > 0 with 4p + 4q below
+      _STRIDE_FACTORS, term j+q is term j times the exact integer ratio of
+      _stride_ratio once j >= j0, the first index where every argument of
+      the two stepping gamma ratios is positive (each grows with j).  Terms
+      j < j0 + q take gammas (_gamma_term_float), which finds the poles; a
+      seed dropped at a denominator pole (within the detection tolerance
+      of a positive argument) moves j0 past it.
+    - Tail terms are added until one after the first falls below
+      2^-(P+30) of |S|, abs_tol standing in for |S| near 0.  A tail not
+      settled by depth 0.6 (P+30) is summed again with 2N direct terms,
+      the balanced route's rule, and raises ConvergenceError only when 2N
+      would pass max_terms.  Large parameters need it: S(1/2, 17/2, 10,
+      1/2) at P = 53 settles at N = 112, not 56.
 
     tail_bound is the larger of |m C| times the last two tail terms and
     2^-P |S|, the rounding to P bits, which the stop rule makes the larger
@@ -241,21 +243,17 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
     Arithmetic, chosen by hyper_series._arithmetic at W = P+30 bits, one
     loop for both.  With all four parameters real rationals (a real float
     as its dyadic rational) the direct terms, e_k, the fold c_n and both
-    sums are integers scaled by 2^W.  A direct term from _gamma_term_float
-    (four mp.gamma calls, times (alpha)_j/j! as a running mpf advanced only
-    when a gamma term is needed) is lifted once, over 2^E with E the binary
-    exponent of the first such term, so that a sum far below 1 keeps W
-    bits.  For z = p/q > 0 with 4p + 4q below _STRIDE_FACTORS, term j+q is
-    term j times the exact integer ratio of _stride_ratio, once the four
-    gamma arguments of term j are positive; the last q terms are kept in a
-    ring.  Every other direct term takes gammas, so poles are found as
-    before.  Tail term n is c_n / N^(n+1), a product of two numbers, and the
-    stop bound is carried into the same units, not rounded to them.  A
-    complex parameter (or a sqrt(pi) multiple) runs the same loops in mpc
-    (mpf when all four are real), with every direct term from gammas.
-    mpf or mpc remains only for the gamma seeds and their weight, for C
-    (two mp.power calls and an rgamma), for the stop bound and for the
-    final rounding, where the direct sum, C and the tail meet once.
+    sums are integers scaled by 2^W.  A gamma term (four mp.gamma calls,
+    times (alpha)_j/j! as a running mpf advanced only when a gamma term is
+    needed) is lifted once, over 2^E with E the binary exponent of the
+    first such term, so that a sum far below 1 keeps W bits; the last q
+    terms are kept in a ring.  Tail term n is c_n / N^(n+1), a product of
+    two numbers, and the stop bound is carried into the same units, not
+    rounded to them.  A complex parameter (or a sqrt(pi) multiple) runs the
+    same loops in mpc (mpf when all four are real), with every direct term
+    from gammas.  mpf or mpc remains only for the gamma terms, for C (two
+    mp.power calls and an rgamma), for the stop bound and for the final
+    rounding, where the direct sum, C and the tail meet once.
     """
     prec_work = ctx.precision + 30
     with working_precision(prec_work):
@@ -275,25 +273,38 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                 f"direct series needs {n_direct} terms before its tail, "
                 f"more than max_terms = {ctx.max_terms}",
                 partial=Scalar(val=mp.mpc(0), prec=prec_work))
+        if fz.real <= 0:
+            for j in range(n_direct):
+                _numerator_args(fb, fm, fz, j)
+            raise DivergentSeriesError(
+                "the direct series has no asymptotic tail for Re z <= 0; "
+                "treating as divergent",
+                SeriesClassification(SeriesKind.DIVERGENT))
         ints, d, arith = _arithmetic((p.alpha, p.beta, p.m, p.z), prec_work)
         one, _, div, value, lift = arith
         # without a stride recurrence (q = 0) every term takes gammas
         q, forms = (None if arith is _MPMATH else _stride(ints, d)) or (0, ())
-        ring = [None] * q   # term i at i mod q, or None where i+q cannot step from it
+        j0 = max([0] + [-x0 // x1 + 1 for pair in forms[:2] for x0, x1, _ in pair])
+        ring = [None] * q   # term j at j mod q, from j0 on
         acc = 0             # the direct sum over 2^exp2, exp2 the first term's size
         exp2 = None
         poch_a, fact, at = unit, mp.mpf(1), 0   # (alpha)_at and at!, advanced on demand
-        watch = fz.real <= 0   # the divergence guard's scope, see above
-        grow_streak = 0
-        prev_mag = None
-        for j in range(n_direct):
-            back = ring[j % q] if q and j >= q else None
-            if back is not None:
-                num, den = _stride_ratio(forms, d, j - q)
-                t = ring[j % q] = div(back * num, den)
-            else:
-                t = _gamma_term_float(fa, fb, fm, fz, j)
-                if t is not None:
+        summed = 0          # direct terms in acc
+        scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
+            * mp.rgamma(fa)
+        lifted = [tuple(map(lift, pair)) for pair in pairs]
+        eps_units = mp.ldexp(one * one, -prec_work)
+        depth = int(0.6 * prec_work)
+        while True:
+            for j in range(summed, n_direct):
+                if q and j >= j0 + q:
+                    num, den = _stride_ratio(forms, d, j - q)
+                    t = ring[j % q] = div(ring[j % q] * num, den)
+                else:
+                    t = _gamma_term_float(fa, fb, fm, fz, j)
+                    if t is None:
+                        j0 = max(j0, j + 1)
+                        continue
                     for i in range(at, j):
                         poch_a = poch_a * (fa + i)
                         fact = fact * (i + 1)
@@ -302,65 +313,45 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
                     if exp2 is None:
                         exp2 = int(mp.mag(t)) if t else 0
                     t = lift(t * mp.ldexp(1, -exp2))
-                if q:
-                    # the two gamma ratios step only from positive arguments;
-                    # the third pair, (alpha)_j / j!, is rational in j
-                    positive = all(x0 + j * x1 > 0 for pair in forms[:2] for x0, x1, _ in pair)
-                    ring[j % q] = t if positive else None
-            if t is None:
+                    if q and j >= j0:
+                        ring[j % q] = t
+                acc += t
+            summed = n_direct
+            direct = value(acc * one) * mp.ldexp(1, exp2 or 0)
+            # the tail scale * sum_n c_n N^-(n+1), where
+            # (n+1) c_n = sum_r C(n+1, r) B_r e_(n-r) over row n, B_1 taken as +1/2;
+            # the row's dot product is a product of two numbers, and so is each
+            # tail term conv / ((n+1) N^(n+1)) and their sum
+            tail, last, prev = 0, 0, 0
+            power = n_direct   # N^(n+1)
+            # the stop bound on a tail term, in the same units: a term below
+            # 2^-W max(|S|, abs_tol) / |m scale|, with |S| re-read only when a
+            # term passes the last bound
+            bound = None
+            for n, (e, row) in zip(range(depth + 1), _gamma_ratio_expansion(lifted, arith)):
+                conv = sum(w * e[n - r] for r, w in row)
+                if n:   # B_1 from -1/2 to +1/2
+                    conv += (n + 1) * e[n - 1] * one
+                prev, last = last, div(conv, (n + 1) * power)
+                tail += last
+                if n and last != 0 and (bound is None or abs(last) < bound):
+                    total = direct + scale * value(tail)
+                    bound = eps_units * max(abs(fm * total), ctx.abs_tol) / abs(fm * scale)
+                    if abs(last) < bound:
+                        break
+                power *= n_direct
+            else:
+                if 2 * n_direct > ctx.max_terms:
+                    raise ConvergenceError(
+                        f"asymptotic tail not settled at depth {depth} past "
+                        f"{n_direct} direct terms, and {2 * n_direct} would pass "
+                        f"max_terms = {ctx.max_terms}",
+                        partial=Scalar(val=mp.mpc(fm * (direct + scale * value(tail))),
+                                       prec=prec_work),
+                        terms_used=n_direct)
+                n_direct *= 2
                 continue
-            acc += t
-            if not watch:
-                continue
-            mag = abs(t)
-            if prev_mag is not None and prev_mag > 0:
-                grow_streak = grow_streak + 1 if mag >= prev_mag else 0
-                if j > 32 and grow_streak >= 16:
-                    raise DivergentSeriesError(
-                        "direct series terms stopped decreasing; "
-                        "treating as divergent",
-                        SeriesClassification(SeriesKind.DIVERGENT))
-            prev_mag = mag
-        if watch:
-            raise DivergentSeriesError(
-                "the direct series has no asymptotic tail for Re z <= 0; "
-                "treating as divergent",
-                SeriesClassification(SeriesKind.DIVERGENT))
-        scale = mp.power(fz, fb - fm) * mp.power(fz + 1, fm - fa - fb - 1) \
-            * mp.rgamma(fa)
-        direct = value(acc * one) * mp.ldexp(1, exp2 or 0)
-        # the tail scale * sum_n c_n N^-(n+1), where
-        # (n+1) c_n = sum_r C(n+1, r) B_r e_(n-r) over row n, B_1 taken as +1/2;
-        # the row's dot product is a product of two numbers, and so is each
-        # tail term conv / ((n+1) N^(n+1)) and their sum
-        lifted = [tuple(map(lift, pair)) for pair in pairs]
-        tail, last, prev = 0, 0, 0
-        power = n_direct   # N^(n+1)
-        # the stop bound on a tail term, in the same units: a term below
-        # 2^-W max(|S|, abs_tol) / |m scale|, with |S| re-read only when a
-        # term passes the last bound
-        bound = None
-        eps_units = mp.ldexp(one * one, -prec_work)
-        depth = int(0.6 * prec_work)
-        for n, (e, row) in zip(range(depth + 1), _gamma_ratio_expansion(lifted, arith)):
-            conv = sum(w * e[n - r] for r, w in row)
-            if n:   # B_1 from -1/2 to +1/2
-                conv += (n + 1) * e[n - 1] * one
-            prev, last = last, div(conv, (n + 1) * power)
-            tail += last
-            if n and last != 0 and (bound is None or abs(last) < bound):
-                total = direct + scale * value(tail)
-                bound = eps_units * max(abs(fm * total), ctx.abs_tol) / abs(fm * scale)
-                if abs(last) < bound:
-                    break
-            power *= n_direct
-        else:
-            raise ConvergenceError(
-                f"asymptotic tail not settled at depth {depth} past "
-                f"{n_direct} direct terms",
-                partial=Scalar(val=mp.mpc(fm * (direct + scale * value(tail))),
-                               prec=prec_work),
-                terms_used=n_direct)
+            break
         with working_precision(ctx.precision):
             val = mp.mpc(fm * total)
         # the last two tail terms, since the last alone can fall near a sign
@@ -378,7 +369,7 @@ def _s_direct_experimental(p: RamanujanParams, ctx: EvalContext) -> EvalResult:
 
 
 def _stride(ints, d: int):
-    """(q, forms) for alpha, beta, m, z = ints / d when z = p/q > 0 and one
+    """(q, forms) for alpha, beta, m, z = ints / d, z = p/q > 0, when one
     stride step multiplies fewer than _STRIDE_FACTORS factors, else None.
 
     forms holds, for each of the three ratios of _s_direct_experimental's
@@ -390,8 +381,6 @@ def _stride(ints, d: int):
     4p + 4q factors.
     """
     a, b, m, z = ints
-    if z <= 0:
-        return None
     g = math.gcd(z, d)
     p, q = z // g, d // g
     forms = (((b + d, z, p), (m + d, z, p)),
@@ -415,20 +404,23 @@ def _stride_ratio(forms, d: int, j: int):
     return num, den
 
 
+def _numerator_args(fb, fm, fz, j):
+    """The numerator gamma arguments of direct term j.  A pole there is
+    contamination and raises."""
+    args = (fb + 1 + j * fz, fm + j * (fz + 1))
+    if any(_near_nonpositive_int(x) for x in args):
+        raise PoleError(f"gamma pole contaminates term {j} of the direct series",
+                        term_index=j)
+    return args
+
+
 def _gamma_term_float(fa, fb, fm, fz, j):
     """One gamma-ratio term of the direct series (without (alpha)_j/j! and
-    the leading m), or None when a denominator gamma pole kills the term.
-    A numerator pole is contamination and raises."""
-    args_num = (fb + 1 + j * fz, fm + j * (fz + 1))
+    the leading m), or None when a denominator gamma pole kills the term."""
+    args_num = _numerator_args(fb, fm, fz, j)
     args_den = (fa + fb + 1 + j * (fz + 1), fm + j * fz + 1)
-    for x in args_num:
-        if _near_nonpositive_int(x):
-            raise PoleError(
-                f"gamma pole contaminates term {j} of the direct series",
-                term_index=j)
-    for x in args_den:
-        if _near_nonpositive_int(x):
-            return None
+    if any(_near_nonpositive_int(x) for x in args_den):
+        return None
     return (mp.gamma(args_num[0]) * mp.gamma(args_num[1])
             / (mp.gamma(args_den[0]) * mp.gamma(args_den[1])))
 
@@ -486,24 +478,14 @@ def s_direct(p: RamanujanParams, ctx: EvalContext = DEFAULT_CONTEXT) -> EvalResu
     summed by pochhammer_sum through exact_first, so exactly whenever beta,
     m and z are real (a float as the exact rational it is, the sum rounded
     once to ctx.precision).  Nonterminating with z a nonnegative integer:
-    s_integer_form.  Anything else is evaluated experimentally: N direct
-    terms, then the tail C sum_k e_k zeta(2+k, N) summed as one
-    Euler-Maclaurin series in 1/N at the integer N, at ctx.precision + 30
-    bits until a tail term past the first falls below 2^-(precision+30) of
-    the sum.  With all four parameters real rationals (real floats as their
-    dyadic rationals), the direct terms, e_k, the fold and both sums are
-    fixed-point integers: at z = p/q > 0 with 4p + 4q < 512, direct term
-    j+q is term j times an exact integer ratio once term j's gamma
-    arguments are all positive, and every other direct term takes four
-    mp.gamma calls and is lifted into the integers once.  The direct sum,
-    the tail's constant C and the tail sum meet in mpf only for the final
-    rounding.  Complex parameters or sqrt(pi) multiples run the same loops
-    in mpmath floats.  terms_used is N and tail_bound the larger of |m C|
-    times the last two tail terms and 2^-precision |S|, an estimate that
-    covers the final rounding.  Re z <= 0 raises PoleError or
-    DivergentSeriesError.  A terminating k or an integer z above
-    ctx.max_terms, or a terminating sum whose factor work is above
-    ctx.max_terms ** 2 (see pochhammer_sum), raises InvalidParametersError.
+    s_integer_form.  Anything else goes to _s_direct_experimental, whose
+    docstring states its rules: terms_used is the number N of direct terms
+    before the tail and tail_bound an estimate that covers the final
+    rounding; Re z <= 0 raises PoleError or DivergentSeriesError, and a
+    tail that needs more than ctx.max_terms direct terms ConvergenceError.
+    A terminating k or an integer z above ctx.max_terms, or a terminating
+    sum whose factor work is above ctx.max_terms ** 2 (see pochhammer_sum),
+    raises InvalidParametersError.
     """
     if p.terminating_k is not None:
         return _s_direct_terminating(p, ctx)

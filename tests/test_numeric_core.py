@@ -637,6 +637,12 @@ class TestGammaRatio:
         r = gamma_ratio(Fraction(-1, 2), 0)
         assert r.finite.fraction == 0 and not r.tolerance_dependent
 
+    def test_float_poles_with_non_integer_difference(self):
+        # both arguments within the detection tolerance of a pole, but their
+        # difference 1 + 1.8e-12 is not within it of an integer
+        with pytest.raises(IndeterminateError):
+            gamma_ratio(-2 + 0.9e-12, -3 - 0.9e-12)
+
     def test_generic_exact(self):
         r = gamma_ratio(Fraction(3, 2), 2)
         assert r.finite.sqrtpi_power == 1

@@ -81,6 +81,10 @@ class TestClosedForm:
         v = s_closed_form(RamanujanParams(F(1, 2), 0, 1, 0))
         assert v.is_infinity
 
+    def test_float_numerator_pole_gives_infinity(self):
+        # Gamma(beta+1-m) = Gamma(-1): float input, rounded as an infinity
+        assert s_closed_form(RamanujanParams(0.5, 0.5, 2.5, 0.0)).is_infinity
+
     def test_float_fallback(self):
         v = s_closed_form(RamanujanParams(0.3, 1.0, 0.25, 0))
         assert v.finite.is_float
@@ -641,6 +645,30 @@ class TestEq6Prefactor:
         with pytest.raises(InvalidParametersError):
             eq6_prefactor(F(1, 2), F(1, 4), F(1, 3))
 
+    def test_complex_mode(self):
+        # complex beta: both forms in float, compared within rel_tol
+        v = eq6_prefactor(2, 0.3 + 0.2j, 0.7, EvalContext(precision=64))
+        assert v.finite.is_float
+        assert abs(v.finite.to_mpc(64) - mpmath.mpc(0.328688089015172,
+                                                   0.0689303647149411)) < 1e-14
+
+    @pytest.mark.parametrize("broken", [
+        lambda v: v * SphereValue.of(Scalar.exact(F(1000001, 1000000))),
+        lambda v: SphereValue.infinity(),
+    ])
+    def test_cross_check_catches_a_wrong_form(self, broken, monkeypatch):
+        # the reflected form's first gamma ratio off by 1e-6, or infinite
+        calls = []
+
+        def first_broken(x, y):
+            calls.append((x, y))
+            v = gamma_ratio(x, y)
+            return broken(v) if len(calls) == 1 else v
+
+        monkeypatch.setattr(ramanujan_sum, "gamma_ratio", first_broken)
+        with pytest.raises(IdentityAssertionError):
+            eq6_prefactor(2, 0.3 + 0.2j, 0.7, EvalContext(precision=64))
+
 
 # The tail the experimental route summed before it folded the Hurwitz zeta
 # values into one series in 1/N: C sum_k e_k zeta(2+k, N), one mp.zeta call
@@ -882,13 +910,19 @@ class TestExperimental:
         (F(-1, 3), PoleError, 6),
         (F(-7, 3), PoleError, 3),
         (-0.0137, DivergentSeriesError, None),
+        # beta+1+jz = 2 - j/3000 reaches 0 at j = 6000, of about 57000 terms
+        (F(-1, 3000), PoleError, 6000),
     ])
-    def test_nonpositive_real_z_refused(self, z, error, index):
-        # the asymptotic tail does not hold for Re z <= 0: the direct terms
-        # name a pole, or the route refuses, and no value comes back
+    def test_nonpositive_real_z_refused(self, z, error, index, monkeypatch):
+        # the asymptotic tail does not hold for Re z <= 0: the route names
+        # the first numerator pole, or refuses, before any gamma is evaluated
+        calls = []
+        monkeypatch.setattr(ramanujan_sum, "_gamma_term_float",
+                            lambda *args: calls.append(args))
         with pytest.raises(error) as exc:
             s_direct(RamanujanParams(0.5, 1.0, 0.5, z), EvalContext(precision=53))
         assert getattr(exc.value, "term_index", None) == index
+        assert len(calls) == 0
 
     def test_growing_terms_at_positive_z_converge(self):
         # at m = 60 the terms still grow past j = 32; for Re z > 0 they
@@ -901,13 +935,18 @@ class TestExperimental:
             assert err <= res.tail_bound
             assert err <= mpmath.ldexp(abs(ref), -50)
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="ROADMAP item 4: N direct terms too few once the "
-                              "parameters reach about 10")
-    def test_beta_plane_with_large_parameters(self):
-        # S(1/2, 17/2, 10, 1/2), on the plane m = alpha+beta+1, against the
-        # Beta integral of beta_plane_point at P + 90 bits
-        alpha, beta, z, prec = F(1, 2), F(17, 2), F(1, 2), 53
+    @pytest.mark.parametrize("beta, z, prec", [
+        (F(17, 2), F(1, 2), 53), (F(17, 2), F(1, 3), 53),
+        (F(12), F(1, 2), 53), (F(12), F(1, 3), 53),
+        (F(20), F(1, 2), 53), (F(20), F(1, 3), 53),
+        (F(20), F(1, 2), 128), (F(20), F(1, 3), 128),
+    ])
+    def test_beta_plane_with_large_parameters(self, beta, z, prec):
+        # S(1/2, beta, beta + 3/2, z), on the plane m = alpha+beta+1, against
+        # the Beta integral of beta_plane_point at P + 90 bits.  N direct
+        # terms leave the tail unsettled at these points (S(1/2, 17/2, 10,
+        # 1/2) at P = 53: depth 49 past 56 terms), so N doubles
+        alpha = F(1, 2)
         res = s_direct(RamanujanParams(alpha, beta, alpha + beta + 1, z),
                        EvalContext(precision=prec))
         with mpmath.workprec(prec + 90):
@@ -916,6 +955,16 @@ class TestExperimental:
                                    [0, 0.5, 1])
             ref = (a + b + 1) / mpmath.gamma(a + 1) * integral
             assert abs(res.value.finite.to_mpc(prec) - ref) <= res.tail_bound
+
+    def test_doubling_refused_past_max_terms(self):
+        # S(1/2, 17/2, 10, 1/2) at P = 53 settles at 112 direct terms, not
+        # at the first N = 56; with max_terms = 100 the doubling is refused
+        params = RamanujanParams(F(1, 2), F(17, 2), F(10), F(1, 2))
+        assert s_direct(params, EvalContext(precision=53)).terms_used == 112
+        with pytest.raises(ConvergenceError) as exc:
+            s_direct(params, EvalContext(precision=53, max_terms=100))
+        assert exc.value.terms_used == 56
+        assert exc.value.partial is not None
 
     def test_numerator_pole_contaminates(self):
         # beta+1+jz = -2.5+0.5j first lands on a nonpositive integer (-2)
@@ -955,6 +1004,38 @@ class TestExperimental:
         res = s_direct(RamanujanParams(F(1, 2), F(1, 3), F(11, 6), z),
                        EvalContext(precision=53))
         assert seen == list(range(calls or res.terms_used))
+
+    @pytest.mark.parametrize("prec", [53, 128])
+    @pytest.mark.parametrize("params, seeds", [
+        # j0 = 4 at q = 2: beta+1+jz = -7/4 + j/2; a denominator pole at j = 1
+        ((F(1, 4), F(-11, 4), F(3, 10), F(1, 2)), 6),
+        # j0 = 3 at q = 4: beta+1+jz = -8/5 + 3j/4
+        ((F(2, 5), F(-13, 5), F(-9, 7), F(3, 4)), 7),
+        # j0 = 1 at q = 2: m+1+jz = -4/3 + 5j/2
+        ((F(1, 2), F(1, 3), F(-7, 3), F(5, 2)), 3),
+        # j0 = 6 at q = 3: beta+1+jz = -17/5 + 2j/3
+        ((F(-1, 5), F(-22, 5), F(1, 7), F(2, 3)), 9),
+        # j0 = 1, but alpha+beta+1+j(z+1) is 1e-13 at j = 1, a pole within
+        # the detection tolerance: term 1 is dropped and j0 moves to 2
+        ((-2.5, 1e-13, 0.3, 0.5), 4),
+    ])
+    def test_stride_starts_at_j0(self, params, seeds, prec, monkeypatch):
+        # the terms j < j0 + q take gammas and the rest step from the ring;
+        # the value must match the sum where every term takes gammas
+        ctx = EvalContext(precision=prec)
+        seen = []
+        term = ramanujan_sum._gamma_term_float
+        monkeypatch.setattr(ramanujan_sum, "_gamma_term_float",
+                            lambda *args: seen.append(args[-1]) or term(*args))
+        stepped = s_direct(RamanujanParams(*params), ctx)
+        assert seen == list(range(seeds))
+        monkeypatch.setattr(ramanujan_sum, "_STRIDE_FACTORS", 0)
+        gammas = s_direct(RamanujanParams(*params), ctx)
+        assert len(seen) == seeds + gammas.terms_used == seeds + stepped.terms_used
+        with mpmath.workprec(prec):
+            want = gammas.value.finite.to_mpc(prec)
+            got = stepped.value.finite.to_mpc(prec)
+            assert abs(got - want) <= mpmath.ldexp(abs(want), 8 - prec)
 
     @pytest.mark.parametrize("prec", [53, 256])
     @pytest.mark.parametrize("params", [

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersum.numeric_core import (
     EvalContext,
+    IdentityAssertionError,
     InvalidParametersError,
     PoleError,
     Scalar,
@@ -157,6 +158,18 @@ class TestCounterexample:
         rep = counterexample_eq9(F(1, 4), 0)
         assert rep.verdict is Verdict.MISMATCH
         assert abs(rep.lhs.finite.to_mpc(64)) > 0.1
+
+    @pytest.mark.parametrize("broken", [
+        lambda v: v * SphereValue.of(Scalar.exact(F(1000001, 1000000))),
+        lambda v: SphereValue.infinity(),
+    ])
+    def test_routes_must_agree(self, broken, monkeypatch):
+        # the reduced route off by 1e-6 relative, or infinite
+        reduced = verifier._counterexample_reduced
+        monkeypatch.setattr(verifier, "_counterexample_reduced",
+                            lambda *args: broken(reduced(*args)))
+        with pytest.raises(IdentityAssertionError):
+            counterexample_eq9(F(1, 2), F(1, 2))
 
     @pytest.mark.parametrize("alpha,beta", [(F(2, 7), F(3, 5)), (-2, F(1, 3)), (0.75, 0.5)])
     def test_prefactor_computed_once(self, monkeypatch, alpha, beta):
